@@ -1,6 +1,6 @@
 //! End-to-end runtime benchmarks: every backend behind the unified
 //! [`Engine`] front door on real (scaled) workloads, plus pooled-session
-//! versus spawn-per-job submission. Absolute numbers depend on this
+//! versus session-per-job submission. Absolute numbers depend on this
 //! machine's core count; the modeled figures in `src/bin/` carry the
 //! paper comparison.
 
@@ -60,12 +60,13 @@ fn bench_histogram(c: &mut Criterion) {
 }
 
 /// Short-job submission: one parked pool taking a stream of submits
-/// versus spawning a fresh engine per job. The session amortizes thread
-/// creation and queue allocation; the gap is the pooling win measured by
+/// versus a fresh engine per job, whose one-shot submit opens and drops a
+/// session around the job. The pooled session amortizes thread creation
+/// and queue allocation; the gap is the pooling win measured by
 /// `cargo run -p mr-bench --bin job_stream`.
 fn bench_job_stream(c: &mut Criterion) {
     // Scale divides the Table I quantity: 20 000 keeps each job around a
-    // millisecond, short enough that spawn-per-run overhead is visible.
+    // millisecond, short enough that per-job setup is visible.
     let spec = InputSpec::table1(AppKind::WordCount, Platform::XeonPhi, InputFlavor::Small);
     let lines = wc_input(&spec, 20_000);
     let mut group = c.benchmark_group("runtimes/job-stream");

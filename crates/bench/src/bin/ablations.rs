@@ -10,8 +10,8 @@ use mr_apps::{AppKind, WordCount};
 use mr_bench::{sim_config, sim_job};
 use mr_core::RuntimeConfig;
 use mrsim::{auto_split, simulate, RuntimeKind};
-use ramr::RamrRuntime;
-use ramr_telemetry::ThreadTelemetry;
+use ramr::{Backend, Engine};
+use ramr_telemetry::{ThreadRole, ThreadTelemetry};
 
 fn main() {
     let platform = Platform::Haswell;
@@ -85,11 +85,12 @@ fn main() {
     let lines = wc_input(&spec, 2_000);
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let buffers = [1usize, 2, 8, 64, 256, 1000];
-    // Pool-wide share of wall-clock the threads spent in `stalled` / `busy`.
-    let share = |threads: &[ThreadTelemetry], stalled: bool| -> f64 {
-        let wall: f64 = threads.iter().map(|t| t.wall.as_secs_f64()).sum();
-        let part: f64 = threads
-            .iter()
+    // Pool-wide share of wall-clock the `role` threads spent in `stalled` /
+    // `busy`.
+    let share = |threads: &[ThreadTelemetry], role: ThreadRole, stalled: bool| -> f64 {
+        let pool = || threads.iter().filter(|t| t.role == role);
+        let wall: f64 = pool().map(|t| t.wall.as_secs_f64()).sum();
+        let part: f64 = pool()
             .map(|t| if stalled { t.stalled.as_secs_f64() } else { t.busy.as_secs_f64() })
             .sum();
         if wall > 0.0 {
@@ -110,18 +111,19 @@ fn main() {
             .emit_buffer_size(emit)
             .build()
             .expect("valid ablation config");
-        let rt = RamrRuntime::new(cfg).expect("runtime");
-        rt.run(&WordCount, &lines).expect("warm-up run"); // warm caches/allocator
+        let engine = Backend::RamrStatic.engine(cfg).expect("engine");
+        engine.submit(&WordCount, &lines).expect("warm-up run"); // warm caches/allocator
         let start = std::time::Instant::now();
-        let (_, report) = rt.run_with_report(&WordCount, &lines).expect("measured run");
+        let outcome = engine.submit(&WordCount, &lines).expect("measured run");
         let ms = start.elapsed().as_secs_f64() * 1e3;
+        let (stats, report) = (outcome.output.stats, outcome.report);
         rows.push((
             emit,
             ms,
-            report.back_pressure(),
-            share(&report.mapper_telemetry, true),
-            share(&report.combiner_telemetry, false),
-            report.suggested_ratio(),
+            stats.queue_full_events as f64 / stats.emitted.max(1) as f64,
+            share(&report.threads, ThreadRole::Mapper, true),
+            share(&report.threads, ThreadRole::Combiner, false),
+            report.suggested_ratio,
         ));
     }
     let best = rows.iter().map(|r| r.1).fold(f64::INFINITY, f64::min);

@@ -1,11 +1,12 @@
 //! Job-stream bench: the pooling win behind `RamrSession`.
 //!
-//! A stream of short jobs is where spawn-per-run hurts most: thread
+//! A stream of short jobs is where per-job setup hurts most: thread
 //! creation, pinning, and queue allocation are paid per job while the
 //! map-combine work itself is tiny. This bench pushes the same stream of
-//! small word-count jobs through (a) a fresh engine per job and (b) one
-//! persistent session, prints the per-job costs and the speedup, and
-//! PASSes when the pooled stream is at least as fast overall.
+//! small word-count jobs through (a) a fresh engine per job, whose one-shot
+//! `submit` opens a session, runs one epoch and drops it (session-per-job),
+//! and (b) one persistent session, prints the per-job costs and the
+//! speedup, and PASSes when the pooled stream is at least as fast overall.
 //!
 //! ```text
 //! cargo run --release -p mr-bench --bin job_stream [-- <jobs> <scale>]
@@ -36,7 +37,7 @@ fn main() {
     let jobs: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(24);
     // `scale` divides the paper's Table I quantity, so *larger* scales
     // mean *shorter* jobs; the default keeps each job around a
-    // millisecond, where spawn-per-run overhead is visible.
+    // millisecond, where per-job setup is visible.
     let scale: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(20_000);
     assert!(jobs >= 20, "a stream below 20 jobs does not exercise pooling; got {jobs}");
 
@@ -76,16 +77,16 @@ fn main() {
     mr_bench::print_header(&["mode", "total(ms)", "per-job(ms)"]);
     println!("{:>10} {:>10.1} {:>11.3}", "fresh", fresh.as_secs_f64() * 1e3, per_job(fresh));
     println!("{:>10} {:>10.1} {:>11.3}", "pooled", pooled.as_secs_f64() * 1e3, per_job(pooled));
-    println!("\npooled speedup over spawn-per-job: {speedup:.2}x");
+    println!("\npooled speedup over session-per-job: {speedup:.2}x");
 
-    // Pass/fail gate: pooling must never lose to spawn-per-run on a short
+    // Pass/fail gate: pooling must never lose to session-per-job on a short
     // stream. The margin stays at parity (1.0) rather than a larger factor
     // so the gate is robust on loaded CI machines; typical speedups on an
     // idle host are well above it.
     if speedup >= 1.0 {
-        println!("PASS: persistent session beats (or matches) spawn-per-job");
+        println!("PASS: persistent session beats (or matches) session-per-job");
     } else {
-        println!("FAIL: spawn-per-job was faster; session reuse has regressed");
+        println!("FAIL: session-per-job was faster; session reuse has regressed");
         std::process::exit(1);
     }
 }

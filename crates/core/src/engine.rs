@@ -46,10 +46,10 @@
 use mr_core::{JobOutput, MapReduceJob, RuntimeConfig, RuntimeError};
 use phoenix_mr::{PhoenixReport, PhoenixRuntime};
 use ramr_telemetry::{FaultMetrics, ThreadTelemetry};
-use ramr_topology::PlacementPlan;
+use ramr_topology::{MachineModel, PlacementPlan};
 
 use crate::pipeline::{PipelineOutcome, StagePlan};
-use crate::runtime::{RamrRuntime, RunReport};
+use crate::runtime::RunReport;
 use crate::session::RamrSession;
 use crate::tuning::{AdaptationEvent, AdaptiveSeed};
 
@@ -102,17 +102,15 @@ impl Backend {
     /// Returns [`RuntimeError::InvalidConfig`] when the normalized
     /// configuration fails validation — including `RamrAdaptive` with
     /// telemetry explicitly disabled, which is rejected ("adaptive mode
-    /// requires telemetry") exactly as the direct `RamrRuntime` path
-    /// rejects it, never silently overridden.
+    /// requires telemetry") exactly as [`RamrSession::new`] rejects it,
+    /// never silently overridden.
     pub fn engine(self, mut config: RuntimeConfig) -> Result<AnyEngine, RuntimeError> {
         match self {
-            Backend::RamrStatic => {
-                config.adaptive = false;
-                Ok(AnyEngine { backend: self, inner: Inner::Ramr(RamrRuntime::new(config)?) })
-            }
-            Backend::RamrAdaptive => {
-                config.adaptive = true;
-                Ok(AnyEngine { backend: self, inner: Inner::Ramr(RamrRuntime::new(config)?) })
+            Backend::RamrStatic | Backend::RamrAdaptive => {
+                config.adaptive = self == Backend::RamrAdaptive;
+                config.validate()?;
+                let inner = Inner::Ramr { config, machine: MachineModel::host() };
+                Ok(AnyEngine { backend: self, inner })
             }
             Backend::Phoenix => {
                 config.adaptive = false;
@@ -233,13 +231,6 @@ impl EngineReport {
     }
 }
 
-/// A job's output paired with the backend-independent [`EngineReport`] —
-/// the legacy tuple shape returned by the deprecated `_with_report`
-/// spellings. New code receives the same two pieces as a named
-/// [`EngineOutcome`].
-pub type EngineOutput<J> =
-    (JobOutput<<J as MapReduceJob>::Key, <J as MapReduceJob>::Value>, EngineReport);
-
 /// What one submitted job produced: the key-sorted reduced output plus the
 /// backend-independent report, always attached. This is the single return
 /// shape of [`Engine::submit`] and [`EngineSession::submit`] — there is no
@@ -251,13 +242,6 @@ pub struct EngineOutcome<J: MapReduceJob> {
     pub output: JobOutput<J::Key, J::Value>,
     /// The backend-independent run report.
     pub report: EngineReport,
-}
-
-impl<J: MapReduceJob> EngineOutcome<J> {
-    /// Splits the outcome into the legacy `(output, report)` tuple shape.
-    pub fn into_parts(self) -> EngineOutput<J> {
-        (self.output, self.report)
-    }
 }
 
 impl<J: MapReduceJob> std::fmt::Debug for EngineOutcome<J>
@@ -275,9 +259,8 @@ where
 
 /// The unified execution interface over the three backends.
 ///
-/// Generic over the job at the *method* level (like the runtimes
-/// themselves), so one engine value can run heterogeneous jobs; the trait
-/// is therefore not object-safe — dispatch through [`AnyEngine`], which
+/// Generic over the job at the *method* level, so one engine value can run
+/// heterogeneous jobs; the trait is therefore not object-safe — dispatch through [`AnyEngine`], which
 /// implements it by enum dispatch.
 pub trait Engine {
     /// Which backend this engine executes on.
@@ -289,10 +272,16 @@ pub trait Engine {
     /// Executes `job` over `input`, returning the key-sorted reduced
     /// output with its report always attached ([`EngineOutcome`]).
     ///
+    /// On the RAMR backends this is one epoch of a one-shot
+    /// [`RamrSession`]: the pools are spawned for the job and joined before
+    /// `submit` returns, on success and failure alike. Submit a stream of
+    /// jobs through [`Backend::session`] to keep the pools parked between
+    /// them instead.
+    ///
     /// # Errors
     ///
     /// Propagates the backend's [`RuntimeError`].
-    fn submit<J: MapReduceJob>(
+    fn submit<J: MapReduceJob + 'static>(
         &self,
         job: &J,
         input: &[J::Input],
@@ -318,40 +307,14 @@ pub trait Engine {
     {
         crate::pipeline::run(self.backend(), self.config().clone(), plan, input)
     }
-
-    /// Executes `job` over `input`, returning the key-sorted reduced
-    /// output.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the backend's [`RuntimeError`].
-    #[deprecated(note = "use `submit`, which always attaches the report")]
-    fn run_job<J: MapReduceJob>(
-        &self,
-        job: &J,
-        input: &[J::Input],
-    ) -> Result<JobOutput<J::Key, J::Value>, RuntimeError> {
-        self.submit(job, input).map(|outcome| outcome.output)
-    }
-
-    /// Like `run_job`, additionally returning the backend-independent
-    /// [`EngineReport`] as a tuple.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the backend's [`RuntimeError`].
-    #[deprecated(note = "use `submit`, which always attaches the report")]
-    fn run_job_reported<J: MapReduceJob>(
-        &self,
-        job: &J,
-        input: &[J::Input],
-    ) -> Result<EngineOutput<J>, RuntimeError> {
-        self.submit(job, input).map(EngineOutcome::into_parts)
-    }
 }
 
 enum Inner {
-    Ramr(RamrRuntime),
+    /// What a one-shot RAMR session is opened with on every submit.
+    Ramr {
+        config: RuntimeConfig,
+        machine: MachineModel,
+    },
     Phoenix(PhoenixRuntime),
 }
 
@@ -376,19 +339,23 @@ impl Engine for AnyEngine {
 
     fn config(&self) -> &RuntimeConfig {
         match &self.inner {
-            Inner::Ramr(rt) => rt.config(),
+            Inner::Ramr { config, .. } => config,
             Inner::Phoenix(rt) => rt.config(),
         }
     }
 
-    fn submit<J: MapReduceJob>(
+    fn submit<J: MapReduceJob + 'static>(
         &self,
         job: &J,
         input: &[J::Input],
     ) -> Result<EngineOutcome<J>, RuntimeError> {
         match &self.inner {
-            Inner::Ramr(rt) => {
-                let (output, report) = rt.run_with_report(job, input)?;
+            Inner::Ramr { config, machine } => {
+                // The session lives for exactly this epoch: `run_once`
+                // drops it, joining its workers, whether the job succeeded
+                // or not.
+                let (output, report) = RamrSession::with_machine(config.clone(), machine.clone())?
+                    .run_once(job, input)?;
                 Ok(EngineOutcome { output, report: EngineReport::from_ramr(self.backend, report) })
             }
             Inner::Phoenix(rt) => {
@@ -404,7 +371,8 @@ impl Engine for AnyEngine {
 /// jobs), while Phoenix — whose scoped-thread design has no job-independent
 /// state to pool — runs each submit fresh. Either way the caller sees one
 /// `submit` interface, which is what lets the differential tests compare
-/// pooled against fresh execution uniformly across backends.
+/// pooled against one-shot [`Engine::submit`] execution uniformly across
+/// backends.
 pub enum EngineSession<J: MapReduceJob + 'static> {
     /// A persistent RAMR worker-pool session.
     Pooled {
@@ -471,21 +439,6 @@ impl<J: MapReduceJob + 'static> EngineSession<J> {
                 Ok(EngineOutcome { output, report: EngineReport::from_phoenix(report) })
             }
         }
-    }
-
-    /// Executes one job from the stream, with its [`EngineReport`] as a
-    /// tuple.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`submit`](EngineSession::submit).
-    #[deprecated(note = "use `submit`, which always attaches the report")]
-    pub fn submit_with_report(
-        &mut self,
-        job: &J,
-        input: &[J::Input],
-    ) -> Result<EngineOutput<J>, RuntimeError> {
-        self.submit(job, input).map(EngineOutcome::into_parts)
     }
 
     /// Seeds the *next* submit's adaptive controller with a previously

@@ -1,14 +1,18 @@
-//! Persistent job sessions: the mapper/combiner pools spawned once and
-//! reused for a stream of jobs.
+//! The RAMR executor: the mapper/combiner pools of paper §III, spawned once
+//! and reused for a stream of jobs.
 //!
-//! [`RamrRuntime::run`] pays the full setup bill on every call: spawn and
-//! pin `num_workers + num_combiners` OS threads, allocate every SPSC queue,
-//! tear it all down again. For the ROADMAP's workload-stream regime — many
-//! short jobs back to back — that setup dominates. [`RamrSession`] keeps the
-//! pools alive instead: workers are spawned (and pinned, via the same
-//! `ramr-topology` placement plan) once at construction, park on a condvar
-//! between jobs, and the SPSC queues are *reset* (re-armed via
-//! [`Producer::finish`]/[`Consumer::reopen`]) rather than reallocated.
+//! Setting a job up means spawning and pinning `num_workers +
+//! num_combiners` OS threads and allocating every SPSC queue. For the
+//! workload-stream regime — many short jobs back to back — that setup
+//! dominates, so [`RamrSession`] keeps the pools alive: workers are spawned
+//! (and pinned, via the `ramr-topology` placement plan) once at
+//! construction, park on a condvar between jobs, and the SPSC queues are
+//! *reset* (re-armed via [`Producer::finish`]/[`Consumer::reopen`]) rather
+//! than reallocated.
+//!
+//! The session is also the only way a RAMR job runs: a one-shot
+//! [`Engine::submit`](crate::Engine::submit) opens a session, runs a single
+//! epoch as its last and drops it, which joins the workers.
 //!
 //! # Epoch protocol
 //!
@@ -19,10 +23,10 @@
 //!    its own stack — task queues, per-job telemetry cells, fault log,
 //!    error slot — arms the done-counter, and publishes the frame pointer
 //!    together with the bumped epoch under the state mutex.
-//! 2. Workers wake, run exactly one job's worth of their role loop (the
-//!    *same* loop bodies the per-run paths use: [`mapper_loop`],
-//!    [`combiner_loop`], [`flex_loop`], [`adaptive_combiner_loop`]), close
-//!    their queues with `finish` (not drop), and decrement the done-counter.
+//! 2. Workers wake, run exactly one job's worth of their role loop
+//!    ([`mapper_loop`], [`combiner_loop`], [`flex_loop`],
+//!    [`adaptive_combiner_loop`] in `runtime.rs`), close their queues with
+//!    `finish` (not drop), and decrement the done-counter.
 //! 3. `submit` returns only after the counter hits zero, so the frame —
 //!    and the `&J`/`&[J::Input]` borrows smuggled through it — never
 //!    outlives the epoch. Static combiners re-arm (drain + reopen) their
@@ -37,7 +41,6 @@
 //!
 //! [`Producer::finish`]: ramr_spsc::Producer::finish
 //! [`Consumer::reopen`]: ramr_spsc::Consumer::reopen
-//! [`RamrRuntime::run`]: crate::RamrRuntime::run
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -117,9 +120,9 @@ impl<J: MapReduceJob> JobFrame<J> {
 ///
 /// Send is sound because every field of [`JobFrame`] reachable through the
 /// pointer is `Sync` (`J: MapReduceJob` implies `J: Sync` and
-/// `J::Input: Sync`; the rest are the same atomics/mutex/cell types the
-/// per-run paths already share across scoped threads), and the epoch
-/// protocol guarantees the pointee outlives every dereference.
+/// `J::Input: Sync`; the rest are atomics, mutexes and telemetry cells built
+/// for sharing across threads), and the epoch protocol guarantees the
+/// pointee outlives every dereference.
 struct FramePtr<J: MapReduceJob>(*const JobFrame<J>);
 
 impl<J: MapReduceJob> Clone for FramePtr<J> {
@@ -165,12 +168,14 @@ impl<J: MapReduceJob> SessionShared<J> {
     fn next_epoch(&self, last: &mut u64) -> Option<FramePtr<J>> {
         let mut st = relock(self.state.lock());
         loop {
-            if st.shutdown {
-                return None;
-            }
+            // A new epoch wins over shutdown: a one-shot session publishes
+            // its only epoch with shutdown already set.
             if st.epoch > *last {
                 *last = st.epoch;
                 return Some(st.frame.expect("a published epoch always carries a frame"));
+            }
+            if st.shutdown {
+                return None;
             }
             st = relock(self.start.wait(st));
         }
@@ -212,21 +217,21 @@ fn drain_for_reuse<T: Send>(rx: &mut Consumer<T>) {
     rx.reopen();
 }
 
-/// A persistent RAMR executor: the decoupled mapper/combiner pools of
-/// [`RamrRuntime`](crate::RamrRuntime), spawned once and reused for a
-/// stream of jobs.
+/// The RAMR executor: the decoupled mapper/combiner pools (paper §III,
+/// Fig 2), spawned once and reused for a stream of jobs.
 ///
 /// Construct with [`RamrSession::new`], then call
 /// [`submit`](RamrSession::submit) any number of times. Each submit runs one
-/// job to completion with the same semantics as `RamrRuntime::run` (static
-/// or adaptive per [`RuntimeConfig::adaptive`], including retries, poison
-/// skipping and the watchdog) but without re-spawning threads or
-/// reallocating queues. Worker threads are joined on drop.
+/// job to completion — static or adaptive per [`RuntimeConfig::adaptive`],
+/// including retries, poison skipping and the watchdog — without
+/// re-spawning threads or reallocating queues. Worker threads are joined on
+/// drop.
 ///
-/// Unlike `RamrRuntime`, a session is typed by the job (`J`) it executes:
-/// the SPSC queues carry `(J::Key, J::Value)` pairs and live for the whole
-/// session. Run different job *values* freely — a session with different
-/// key/value types needs its own pools.
+/// A session is typed by the job (`J`) it executes: the SPSC queues carry
+/// `(J::Key, J::Value)` pairs and live for the whole session. Run different
+/// job *values* freely — a session with different key/value types needs its
+/// own pools. For a single job, [`Engine::submit`](crate::Engine::submit)
+/// opens and drops a session around it.
 ///
 /// ```
 /// use mr_core::{Emitter, MapReduceJob, RuntimeConfig};
@@ -287,6 +292,9 @@ pub struct RamrSession<J: MapReduceJob + 'static> {
     /// a stage's learned split reaches exactly the stage that follows it,
     /// never an unrelated job that happens to share the session.
     seed: Option<AdaptiveSeed>,
+    /// Set by [`run_once`](RamrSession::run_once): the next epoch is the
+    /// last, so workers exit after it instead of parking.
+    last_epoch: bool,
 }
 
 impl<J: MapReduceJob + 'static> std::fmt::Debug for RamrSession<J> {
@@ -314,7 +322,10 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
     }
 
     /// Spawns the worker pools with thread placement computed against
-    /// `machine` (see [`RamrRuntime::with_machine`]).
+    /// `machine` — useful for inspecting the pinning policy on machines you
+    /// do not have. Real pinning (when `config.pin_os_threads` is set) only
+    /// succeeds for CPU ids that exist on the actual host; others are
+    /// skipped with the thread left unpinned.
     ///
     /// # Errors
     ///
@@ -322,8 +333,6 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
     /// settings, propagates placement failures, and returns
     /// [`RuntimeError::Spawn`] when a worker thread cannot be spawned
     /// (already-spawned workers are torn down first).
-    ///
-    /// [`RamrRuntime::with_machine`]: crate::RamrRuntime::with_machine
     pub fn with_machine(
         config: RuntimeConfig,
         machine: MachineModel,
@@ -358,8 +367,8 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
             done: Condvar::new(),
         });
 
-        // One SPSC queue per mapper-role thread, exactly as per-run — but
-        // allocated once for the session's lifetime.
+        // One SPSC queue per mapper-role thread, allocated once for the
+        // session's lifetime.
         let mut producers: Vec<PairProducer<J>> = Vec::with_capacity(config.num_workers);
         let mut consumers: Vec<PairConsumer<J>> = Vec::with_capacity(config.num_workers);
         for _ in 0..config.num_workers {
@@ -402,9 +411,8 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
                 held_consumers = consumers;
             } else {
                 // Static assignment: group the read-ends per combiner via
-                // the placement plan, exactly as the per-run path does —
-                // each combiner worker then owns its group for the
-                // session's life.
+                // the placement plan — each combiner worker then owns its
+                // group for the session's life.
                 let mut consumers_of: Vec<Vec<PairConsumer<J>>> =
                     (0..config.num_combiners).map(|_| Vec::new()).collect();
                 for (m, rx) in consumers.into_iter().enumerate() {
@@ -451,6 +459,7 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
             consumers: held_consumers,
             jobs_run: 0,
             seed: None,
+            last_epoch: false,
         })
     }
 
@@ -489,9 +498,17 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
     }
 
     /// Executes `job` over `input` on the parked pools, returning the
-    /// key-sorted reduced output. Semantics match
-    /// [`RamrRuntime::run`](crate::RamrRuntime::run) for this session's
-    /// configuration.
+    /// key-sorted reduced output.
+    ///
+    /// The map-combine phase runs decoupled: `num_workers` mappers feed
+    /// `num_combiners` combiners through SPSC queues. Emissions travel in
+    /// blocks at both ends — each mapper buffers `effective_emit_buffer()`
+    /// pairs locally and publishes them with one tail update, and each
+    /// combiner consumes batched reads of `batch_size` elements — with the
+    /// configured backoff on full queues. With [`RuntimeConfig::adaptive`]
+    /// set, an online controller re-rolls mapper threads into combine
+    /// helpers (and back) and re-sizes the batched read from live
+    /// telemetry. Reduce and merge then run exactly as in the baseline.
     ///
     /// A failed job (worker panic, container overflow, watchdog stall)
     /// leaves the session usable: the queues are drained and re-armed
@@ -511,10 +528,9 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
     }
 
     /// Like [`submit`](RamrSession::submit), additionally returning the
-    /// job's [`RunReport`] — the same per-thread statistics surface as
-    /// [`RamrRuntime::run_with_report`](crate::RamrRuntime::run_with_report),
-    /// isolated per job (a job's report never includes a predecessor's
-    /// telemetry, faults or adaptation trace).
+    /// job's [`RunReport`] — per-thread statistics, the placement plan and
+    /// the adaptation trace, isolated per job (a job's report never includes
+    /// a predecessor's telemetry, faults or adaptation trace).
     ///
     /// # Errors
     ///
@@ -591,12 +607,14 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
             let mut st = relock(self.shared.state.lock());
             st.epoch += 1;
             st.frame = Some(FramePtr(&frame));
+            // A last epoch doubles as the shutdown notice (see `run_once`).
+            st.shutdown = self.last_epoch;
         }
         self.shared.start.notify_all();
 
         // The coordinator supervises the epoch in place: it runs the
         // adaptive controller inline and hosts the watchdog (when armed) on
-        // a scoped thread, exactly mirroring the per-run supervision.
+        // a scoped thread.
         let mut trace = Vec::new();
         let stalled = std::thread::scope(|scope| {
             let watchdog = config.watchdog.map(|period| {
@@ -646,7 +664,7 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
             return Err(e);
         }
 
-        // --- Report assembly, mirroring the per-run paths ----------------
+        // --- Report assembly ---------------------------------------------
         let mapper_telemetry: Vec<ThreadTelemetry> = frame
             .map_cells
             .iter()
@@ -699,6 +717,18 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
         };
         Ok((JobOutput::from_sorted(merged, stats), report))
     }
+
+    /// Runs one job as this session's last epoch, then drops the session.
+    /// The workers exit as soon as their part of the epoch is done rather
+    /// than parking for a next job, so the drop only has to join them.
+    pub(crate) fn run_once(
+        mut self,
+        job: &J,
+        input: &[J::Input],
+    ) -> Result<ReportedOutput<J>, RuntimeError> {
+        self.last_epoch = true;
+        self.submit_with_report(job, input)
+    }
 }
 
 impl<J: MapReduceJob + 'static> Drop for RamrSession<J> {
@@ -712,9 +742,9 @@ impl<J: MapReduceJob + 'static> Drop for RamrSession<J> {
 }
 
 // ---------------------------------------------------------------------------
-// The persistent worker bodies. Each is a thin epoch loop around the same
-// role functions the per-run paths use; the additions are (a) catch_unwind
-// so a panicking job cannot kill a pooled thread, (b) a `finish` on the
+// The persistent worker bodies. Each is a thin epoch loop around a role
+// function from `runtime.rs`; the additions are (a) catch_unwind so a
+// panicking job cannot kill a pooled thread, (b) a `finish` on the
 // write-ends when (and only when) the role loop unwound before its own
 // close, so end-of-stream is still signalled, and (c) queue re-arming for
 // the next epoch.
@@ -877,7 +907,7 @@ fn flex_worker<J: MapReduceJob>(
                 &ctx,
             )
         }));
-        // As on the static path: `flex_loop` closes the queue on its
+        // As for static mappers: `flex_loop` closes the queue on its
         // success path, so close here only on unwind — the remaining
         // combining threads watch for the close to retire this pipeline.
         // (A phase-B unwind lands here with the queue already closed;

@@ -16,7 +16,7 @@
 //!   telemetry, [`decide`] turns it into at most one thread re-role and one
 //!   bounded batch-size nudge per tick, and [`AdaptationEvent`] records what
 //!   happened for the run's adaptation trace. The runtime drives this loop
-//!   when `RuntimeConfig::adaptive` is on (see `RamrRuntime`).
+//!   when `RuntimeConfig::adaptive` is on (see `RamrSession`).
 //! * **After the run** — `RunReport::suggested_ratio` re-derives the paper's
 //!   criterion from whole-run telemetry, which is what the controller's
 //!   verdict is compared against in the ablation.
@@ -512,6 +512,7 @@ impl AdaptiveSeed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Backend, Engine};
     use mr_core::ContainerKind;
 
     struct Light;
@@ -922,7 +923,8 @@ mod tests {
         let input = sample();
         let calibration = calibrate(&Light, &input[..5000], &base).unwrap();
         let tuned = calibration.suggest(base).unwrap();
-        let out = crate::RamrRuntime::new(tuned).unwrap().run(&Light, &input).unwrap();
+        let engine = Backend::of_ramr_config(&tuned).engine(tuned).unwrap();
+        let out = engine.submit(&Light, &input).unwrap().output;
         assert_eq!(out.len(), 16);
         assert_eq!(out.iter().map(|(_, v)| v).sum::<u64>(), input.len() as u64);
     }

@@ -16,7 +16,7 @@ use mr_apps::{
     WordCount,
 };
 use mr_core::{JobOutput, MapReduceJob, MrKey, RuntimeConfig};
-use ramr::{Backend, Engine};
+use ramr::{Backend, Engine, EngineOutcome};
 
 const SCALE: u64 = 20_000;
 
@@ -41,7 +41,11 @@ type BothOutputs<J> = (
     JobOutput<<J as MapReduceJob>::Key, <J as MapReduceJob>::Value>,
 );
 
-fn run_both<J: MapReduceJob>(job: &J, input: &[J::Input], config: RuntimeConfig) -> BothOutputs<J> {
+fn run_both<J: MapReduceJob + 'static>(
+    job: &J,
+    input: &[J::Input],
+    config: RuntimeConfig,
+) -> BothOutputs<J> {
     let ramr =
         Backend::RamrStatic.engine(config.clone()).unwrap().submit(job, input).unwrap().output;
     let phoenix = Backend::Phoenix.engine(config).unwrap().submit(job, input).unwrap().output;
@@ -180,9 +184,10 @@ fn pooled_sessions_match_fresh_runs_on_every_backend() {
         let mut session = backend.session::<WordCount>(cfg.clone()).unwrap();
         for round in 0..4 {
             let fresh_engine = backend.engine(cfg.clone()).unwrap();
-            let (fresh, fresh_report) =
-                fresh_engine.submit(&WordCount, &input).unwrap().into_parts();
-            let (pooled, pooled_report) = session.submit(&WordCount, &input).unwrap().into_parts();
+            let EngineOutcome { output: fresh, report: fresh_report } =
+                fresh_engine.submit(&WordCount, &input).unwrap();
+            let EngineOutcome { output: pooled, report: pooled_report } =
+                session.submit(&WordCount, &input).unwrap();
             assert_eq!(pooled.pairs, fresh.pairs, "{backend} round {round}: output differs");
             assert_eq!(
                 pooled.stats.emitted, fresh.stats.emitted,
@@ -233,14 +238,11 @@ fn pooled_sessions_match_fresh_runs_under_faults() {
         let mut session = backend.session::<FaultyJob<mr_apps::WordCount>>(cfg.clone()).unwrap();
         for round in 0..2 {
             let fresh_job = FaultyJob::new(mr_apps::WordCount, plan(), ordinal_of);
-            let (fresh, fresh_report) = backend
-                .engine(cfg.clone())
-                .unwrap()
-                .submit(&fresh_job, &input)
-                .unwrap()
-                .into_parts();
+            let EngineOutcome { output: fresh, report: fresh_report } =
+                backend.engine(cfg.clone()).unwrap().submit(&fresh_job, &input).unwrap();
             let pooled_job = FaultyJob::new(mr_apps::WordCount, plan(), ordinal_of);
-            let (pooled, pooled_report) = session.submit(&pooled_job, &input).unwrap().into_parts();
+            let EngineOutcome { output: pooled, report: pooled_report } =
+                session.submit(&pooled_job, &input).unwrap();
             assert_eq!(pooled.pairs, fresh.pairs, "{backend} round {round}");
             assert_eq!(
                 pooled_report.faults, fresh_report.faults,

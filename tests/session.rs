@@ -5,15 +5,17 @@
 //! records, adaptive role assignments surviving into the next job) and
 //! wedged pools (a failed job leaving a worker parked in a bad state).
 //! Each test drives a `RamrSession` through a stream of jobs and checks
-//! one of those hazards with exact assertions.
+//! one of those hazards with exact assertions. The one-shot
+//! `Engine::submit`, which opens a session for a single epoch, must also
+//! never leave a worker behind.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use mr_apps::WordCount;
-use mr_core::{ContainerKind, RuntimeConfig};
-use ramr::{Backend, JobScheduler, RamrSession};
+use mr_core::{ContainerKind, RuntimeConfig, RuntimeError};
+use ramr::{Backend, Engine, JobScheduler, RamrSession};
 use ramr_faultinject::{FaultKind, FaultPlan, FaultyJob};
 use ramr_telemetry::FaultMetrics;
 
@@ -255,15 +257,15 @@ fn scheduled_tenants_share_the_pool_without_fault_bleed() {
 fn adaptive_backend_rejects_disabled_telemetry_like_the_direct_path() {
     // `Backend::RamrAdaptive` used to silently force `telemetry = true`,
     // so an explicit opt-out was a no-op through the engine front door but
-    // an `InvalidConfig` through the direct `RamrRuntime` path. Both paths
-    // must now reject the contradiction with the same validation error.
+    // an `InvalidConfig` through a directly opened session. Both paths
+    // must reject the contradiction with the same validation error.
     let mut cfg = config();
     cfg.telemetry = false;
 
     let direct = {
         let mut cfg = cfg.clone();
         cfg.adaptive = true;
-        ramr::RamrRuntime::new(cfg).unwrap_err()
+        RamrSession::<WordCount>::new(cfg).unwrap_err()
     };
     assert!(direct.to_string().contains("telemetry"), "direct path: {direct}");
 
@@ -272,4 +274,93 @@ fn adaptive_backend_rejects_disabled_telemetry_like_the_direct_path() {
 
     let session = Backend::RamrAdaptive.session::<WordCount>(cfg).unwrap_err();
     assert_eq!(session.to_string(), direct.to_string(), "session path must match direct path");
+}
+
+/// The `Threads:` count of this process, from `/proc/self/status`.
+#[cfg(target_os = "linux")]
+fn os_threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs is mounted");
+    let line = status.lines().find_map(|l| l.strip_prefix("Threads:")).expect("Threads: line");
+    line.trim().parse().expect("numeric thread count")
+}
+
+/// [`os_threads`] once it reaches `expected`, or after a second if it never
+/// does. A joined thread leaves the count only when the kernel reaps it,
+/// which can trail `join` returning by a moment.
+#[cfg(target_os = "linux")]
+fn os_threads_settled(expected: usize) -> usize {
+    let deadline = std::time::Instant::now() + Duration::from_secs(1);
+    loop {
+        let now = os_threads();
+        if now == expected || std::time::Instant::now() > deadline {
+            return now;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// The body of [`one_shot_submits_join_their_workers_on_every_exit_path`].
+const ISOLATED: &str = "one_shot_submits_join_their_workers_isolated";
+
+#[test]
+#[cfg(target_os = "linux")]
+fn one_shot_submits_join_their_workers_on_every_exit_path() {
+    // A process-wide thread count means something only while no other
+    // test runs, so the check runs in a child copy of this test binary
+    // that executes the ignored body alone.
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .args([ISOLATED, "--exact", "--ignored", "--test-threads=1"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let report = format!("{stdout}\n{}", String::from_utf8_lossy(&out.stderr));
+    assert!(out.status.success(), "isolated run failed:\n{report}");
+    assert!(stdout.contains("1 passed"), "the isolated body did not run:\n{report}");
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+#[ignore = "needs a process of its own: run by one_shot_submits_join_their_workers_on_every_exit_path"]
+fn one_shot_submits_join_their_workers_isolated() {
+    // Every one-shot submit opens a session, runs one epoch and drops the
+    // session, which joins its workers. Successes, worker panics and
+    // container overflows must all leave the thread count where it was.
+    let start = os_threads();
+    let input = lines(200, 5);
+    for backend in [Backend::RamrStatic, Backend::RamrAdaptive] {
+        let mut cfg = config();
+        cfg.adapt_interval = Duration::from_millis(2);
+        let engine = backend.engine(cfg.clone()).unwrap();
+        cfg.container = ContainerKind::FixedHash;
+        cfg.fixed_capacity = Some(2);
+        let overflowing = backend.engine(cfg).unwrap();
+        for round in 0..50 {
+            match round % 5 {
+                1 => {
+                    let faulty = FaultyJob::new(WordCount, poison(2), ordinal_of);
+                    let err = engine.submit(&faulty, &input).unwrap_err();
+                    assert!(
+                        matches!(err, RuntimeError::WorkerPanic(_)),
+                        "{backend} round {round}: expected the injected panic, got {err}"
+                    );
+                }
+                3 => {
+                    let err = overflowing.submit(&WordCount, &input).unwrap_err();
+                    assert!(
+                        matches!(err, RuntimeError::ContainerOverflow { capacity: 2, .. }),
+                        "{backend} round {round}: expected an overflow, got {err}"
+                    );
+                }
+                _ => {
+                    let out = engine.submit(&WordCount, &input).unwrap().output;
+                    assert_eq!(out.pairs, reference(&input, &[]), "{backend} round {round}");
+                }
+            }
+            assert_eq!(
+                os_threads_settled(start),
+                start,
+                "{backend} round {round}: a worker outlived its job"
+            );
+        }
+    }
 }
