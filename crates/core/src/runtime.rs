@@ -1,7 +1,17 @@
-//! The decoupled map/combine role loops (paper §III, Fig 2): the mapper,
-//! combiner, flex and adaptive-combiner loops, the adaptive controller and
-//! the watchdog that [`RamrSession`](crate::RamrSession)'s pooled workers
-//! run, plus the per-job [`RunReport`].
+//! The decoupled map/combine runtime (paper §III, Fig 2) that
+//! [`RamrSession`](crate::RamrSession)'s pooled workers run, plus the
+//! per-job [`RunReport`].
+//!
+//! Three step bodies do the work: a mapper's [`Emission`] maps one task and
+//! publishes its pairs a block at a time, [`batched_read`] moves one batch
+//! from a queue into a combiner's container with panic containment, and
+//! [`Combining`] accounts each combine round. Two scheduling policies drive
+//! them. Under static scheduling, [`mapper_loop`] and [`combiner_loop`] run
+//! fixed pools in which each combiner owns the queues of the mappers the
+//! placement plan pairs with it. Under adaptive scheduling, [`flex_loop`]
+//! and [`adaptive_combiner_loop`] check queues out of a shared
+//! [`QueueRegistry`] while [`controller_loop`] moves flex threads between
+//! mapping and combining. The [`watchdog_loop`] guards both.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -11,6 +21,7 @@ use std::time::{Duration, Instant};
 use crate::tuning::{decide, AdaptationEvent, AdaptiveBounds, PoolObservation};
 use mr_core::{
     Emitter, HasherKind, JobOutput, MapReduceJob, PushBackoff, RuntimeConfig, RuntimeError,
+    TaskRange,
 };
 use phoenix_mr::{phases, TaskQueues};
 use ramr_containers::{Hashed, HashedJobContainer};
@@ -32,18 +43,6 @@ pub(crate) type HashedPair<J> = (Hashed<<J as MapReduceJob>::Key>, <J as MapRedu
 pub(crate) type PairProducer<J> = Producer<HashedPair<J>>;
 /// The read half of one mapper's pipeline queue.
 pub(crate) type PairConsumer<J> = Consumer<HashedPair<J>>;
-
-/// An idle combiner's waiting policy, derived from the configured
-/// producer-side backoff so both ends of each pipeline degrade
-/// symmetrically: `(spin rounds after the last progress, sleep once
-/// exhausted)`. `BusyWait` maps to pure spinning (no sleep), matching what
-/// it asks of the producers.
-pub(crate) fn idle_policy(backoff: PushBackoff) -> (u32, Option<Duration>) {
-    match backoff {
-        PushBackoff::BusyWait => (u32::MAX, None),
-        PushBackoff::SpinThenSleep { spins, sleep } => (spins, Some(sleep)),
-    }
-}
 
 /// Per-thread statistics of one decoupled invocation.
 ///
@@ -250,10 +249,10 @@ impl<'a> FaultCtx<'a> {
 /// Marks a thread live on the progress board for its whole scope. The drop
 /// guard deregisters even on unwind, so a panicking worker never leaves the
 /// watchdog counting a thread that is already gone.
-struct LiveGuard<'a>(Option<&'a ProgressBoard>);
+pub(crate) struct LiveGuard<'a>(Option<&'a ProgressBoard>);
 
 impl<'a> LiveGuard<'a> {
-    fn enter(board: Option<&'a ProgressBoard>) -> Self {
+    pub(crate) fn enter(board: Option<&'a ProgressBoard>) -> Self {
         if let Some(b) = board {
             b.thread_started();
         }
@@ -348,11 +347,26 @@ pub(crate) fn watchdog_loop(
     }
 }
 
-/// One mapper's loop: pull tasks from the locality-grouped queues, map,
-/// accumulate emissions in a thread-local block and publish each full block
-/// to this mapper's SPSC queue with a single tail update. Publishes its
-/// counters and (when `telemetry` is on) wall-clock telemetry into `cell`
-/// once, at exit.
+// ---------------------------------------------------------------------------
+// The step bodies every role loop shares: one map task, one batched read,
+// one combine round. The static and adaptive loops differ only in how they
+// schedule these steps; what differs inside a step is a plain parameter
+// (whether to read timers, whether to publish telemetry live).
+// ---------------------------------------------------------------------------
+
+/// One epoch of a job as every role loop sees it.
+pub(crate) struct Epoch<'a, J: MapReduceJob> {
+    pub(crate) job: &'a J,
+    pub(crate) input: &'a [J::Input],
+    pub(crate) config: &'a RuntimeConfig,
+    pub(crate) queues: &'a TaskQueues,
+    pub(crate) ctx: FaultCtx<'a>,
+    /// The epoch's first error, shared by every worker thread.
+    pub(crate) errors: &'a ErrorSlot,
+}
+
+/// A mapping thread's emission side: each emitted pair is hashed once,
+/// buffered, and published to the thread's SPSC queue a block at a time.
 ///
 /// The emit buffer is the producer-side mirror of the paper's batched read:
 /// instead of one release store (and one cross-core cache-line transfer) per
@@ -360,66 +374,78 @@ pub(crate) fn watchdog_loop(
 /// `emit_block == 1` degenerates to element-wise publication.
 ///
 /// Instrumentation cost: timers fire once per map *task* and once per
-/// block *flush* — never per pair. `busy` is map time net of the flush
-/// time accrued inside the map call; `stalled` is the flush time itself,
-/// which is dominated by waiting whenever the queue is full.
-#[allow(clippy::too_many_arguments)] // internal: mirrors the paper's knob list
-pub(crate) fn mapper_loop<J: MapReduceJob>(
-    job: &J,
-    input: &[J::Input],
-    queues: &TaskQueues,
-    home_group: usize,
-    tx: &mut PairProducer<J>,
-    backoff: &BackoffPolicy,
+/// block *flush* — never per pair, and only when `telemetry` is on. `busy`
+/// is map time net of the flush time accrued inside the map call; `stalled`
+/// is the flush time itself, which is dominated by waiting whenever the
+/// queue is full. The counters (`items`, `stall_events`) are always exact.
+struct Emission<'a, J: MapReduceJob> {
+    tx: &'a mut PairProducer<J>,
+    buffer: Vec<HashedPair<J>>,
+    backoff: BackoffPolicy,
     emit_block: usize,
     hasher: HasherKind,
-    cell: &TelemetryCell,
     telemetry: bool,
-    ctx: &FaultCtx<'_>,
+    wall_start: Option<Instant>,
+    local: LocalTelemetry,
+    emitted: u64,
+    full_events: u64,
+    epoch: &'a Epoch<'a, J>,
+    cell: &'a TelemetryCell,
+    /// Publish into `cell` after every task and block flush — so
+    /// back-pressure stalls reach the adaptive controller promptly — rather
+    /// than only once, at [`close`](Self::close).
+    live: bool,
+    /// This thread's progress-board slot.
     slot: usize,
-) {
-    let _live = LiveGuard::enter(ctx.board);
-    let push_cancel = ctx.push_cancel();
-    let wall_start = telemetry.then(Instant::now);
-    let mut local = LocalTelemetry::default();
-    let mut emitted = 0u64;
-    let mut full_events = 0u64;
-    let mut buffer: Vec<HashedPair<J>> = Vec::with_capacity(emit_block);
-    while let Some(task) = queues.claim(home_group) {
-        if ctx.cancelled() {
-            break;
+}
+
+impl<'a, J: MapReduceJob> Emission<'a, J> {
+    fn new(
+        tx: &'a mut PairProducer<J>,
+        epoch: &'a Epoch<'a, J>,
+        cell: &'a TelemetryCell,
+        live: bool,
+        slot: usize,
+    ) -> Self {
+        let config = epoch.config;
+        let emit_block = config.effective_emit_buffer();
+        Self {
+            tx,
+            buffer: Vec::with_capacity(emit_block),
+            backoff: to_backoff(config.push_backoff),
+            emit_block,
+            hasher: config.hasher,
+            telemetry: config.telemetry,
+            wall_start: config.telemetry.then(Instant::now),
+            local: LocalTelemetry::default(),
+            emitted: 0,
+            full_events: 0,
+            epoch,
+            cell,
+            live,
+            slot,
         }
-        let stalled_before = local.stalled;
-        let map_start = telemetry.then(Instant::now);
-        {
-            let local = &mut local;
-            let tx = &mut *tx;
-            let buffer = &mut buffer;
-            let full_events = &mut full_events;
+    }
+
+    /// Maps one task, publishing every block its emissions fill.
+    ///
+    /// Under fault-tolerant (staged) execution the task's emissions are
+    /// staged per attempt and enter the buffer only after the map call
+    /// succeeds, so a panicked (and retried) attempt publishes nothing.
+    fn map_task(&mut self, task: &TaskRange) {
+        let Epoch { job, input, ref ctx, .. } = *self.epoch;
+        let stalled_before = self.local.stalled;
+        let map_start = self.telemetry.then(Instant::now);
+        let emitted = {
             let mut sink = |key: J::Key, value: J::Value| {
                 // Hash once, here at emission: the carried hash rides the
                 // queue and is reused by combine, bucketing and reduce.
-                buffer.push((Hashed::wrap(hasher, key), value));
-                if buffer.len() >= emit_block {
-                    // Pushes must always succeed: discarding or overwriting
-                    // elements would violate correctness (paper §III-A). The
-                    // flush loops with the configured backoff until the whole
-                    // block is published, counting zero-progress attempts.
-                    let occupied = buffer.len();
-                    let flush_start = telemetry.then(Instant::now);
-                    *full_events += publish_block(tx, buffer, backoff, push_cancel);
-                    ctx.progress(slot);
-                    if let Some(t) = flush_start {
-                        local.stalled += t.elapsed();
-                        local.batches += 1;
-                        local.occupancy.record(occupied, emit_block);
-                    }
+                self.buffer.push((Hashed::wrap(self.hasher, key), value));
+                if self.buffer.len() >= self.emit_block {
+                    self.flush();
                 }
             };
             if ctx.staged {
-                // Fault-tolerant task execution: emissions staged per task
-                // and only published after the map call succeeds, so a
-                // panicked (and retried) attempt publishes nothing.
                 let staged = phases::map_task_staged(
                     job,
                     task,
@@ -429,46 +455,382 @@ pub(crate) fn mapper_loop<J: MapReduceJob>(
                     Some(ctx.cancel),
                     ctx.faults,
                 );
-                if let Some((pairs, count)) = staged {
-                    for (key, value) in pairs {
-                        sink(key, value);
+                match staged {
+                    Some((pairs, count)) => {
+                        for (key, value) in pairs {
+                            sink(key, value);
+                        }
+                        count
                     }
-                    emitted += count;
+                    None => 0,
                 }
             } else {
                 let mut emitter = Emitter::with_cancel(&mut sink, ctx.cancel);
                 job.map(&input[task.start..task.end], &mut emitter);
-                emitted += emitter.emitted();
+                emitter.emitted()
             }
-        }
-        ctx.progress(slot);
+        };
+        self.emitted += emitted;
+        ctx.progress(self.slot);
         if let Some(t) = map_start {
             // Useful map time: the whole call minus the flush/stall time
             // its emissions accrued.
-            local.busy += t.elapsed().saturating_sub(local.stalled - stalled_before);
+            self.local.busy += t.elapsed().saturating_sub(self.local.stalled - stalled_before);
+        }
+        if self.live {
+            self.publish();
         }
     }
-    // Final drain-flush: publish the partial block *before* closing the
-    // queue — the combiner treats closed+empty as end-of-stream. `finish`
-    // (rather than drop) keeps the producer handle alive for the session's
-    // next epoch.
-    let occupied = buffer.len();
-    let flush_start = telemetry.then(Instant::now);
-    full_events += publish_block(tx, &mut buffer, backoff, push_cancel);
-    if let Some(t) = flush_start {
-        local.stalled += t.elapsed();
-        if occupied > 0 {
-            local.batches += 1;
-            local.occupancy.record(occupied, emit_block);
+
+    /// Publishes the buffered pairs as one block and records the flush; an
+    /// empty buffer is a no-op, so a flex thread's repeated role checks stay
+    /// free. Pushes must always succeed: discarding or overwriting elements
+    /// would violate correctness (paper §III-A), so the flush loops with the
+    /// configured backoff until the whole block is published, counting
+    /// zero-progress attempts.
+    fn flush(&mut self) {
+        if self.buffer.is_empty() {
+            return;
+        }
+        let occupied = self.buffer.len();
+        let flush_start = self.telemetry.then(Instant::now);
+        self.full_events +=
+            publish_block(self.tx, &mut self.buffer, &self.backoff, self.epoch.ctx.push_cancel());
+        self.epoch.ctx.progress(self.slot);
+        if let Some(t) = flush_start {
+            self.local.stalled += t.elapsed();
+            self.local.batches += 1;
+            self.local.occupancy.record(occupied, self.emit_block);
+        }
+        if self.live {
+            // Mid-task, `items` still lags: the emitter owns the count
+            // until the task ends.
+            self.publish();
         }
     }
-    tx.finish();
-    local.items = emitted;
-    local.stall_events = full_events;
-    if let Some(t) = wall_start {
-        local.wall = t.elapsed();
+
+    fn publish(&mut self) {
+        self.local.items = self.emitted;
+        self.local.stall_events = self.full_events;
+        if let Some(t) = self.wall_start {
+            self.local.wall = t.elapsed();
+        }
+        self.cell.publish(&self.local);
     }
-    cell.publish(&local);
+
+    /// Ends this thread's map phase: drain-flushes the partial block,
+    /// publishes the final telemetry and closes the queue. The flush comes
+    /// *before* the close — the combining side treats closed+empty as
+    /// end-of-stream — and `finish` (rather than drop) keeps the producer
+    /// handle alive for the session's next epoch.
+    fn close(mut self) {
+        self.flush();
+        self.publish();
+        self.tx.finish();
+    }
+}
+
+/// One batched read from `rx` (paper §III-A): while the producer runs
+/// (`closed` is false) only a full batch of `batch` elements is taken — "the
+/// buffer is divided into blocks of elements that are processed
+/// contiguously" — and once it has closed any remainder is drained, partial
+/// batches included. Read `closed` *before* the call: a queue observed
+/// closed and then drained to empty can never produce again.
+///
+/// Panic containment is per *batch*: one `catch_unwind` wraps the read, not
+/// each element. The consumed count advances before each insert, so on an
+/// unwind mid-batch it still equals the number of elements the queue's head
+/// passed (see [`Consumer::pop_batch`]) and conservation stays exact. A
+/// panicking combine function or a failed insert comes back as the error:
+/// a combining thread that died would leave its queues undrained and the
+/// blocked mappers would never terminate.
+///
+/// `container: None` is discard mode, used after an error: the read
+/// consumes and counts elements without inserting them.
+fn batched_read<J: MapReduceJob>(
+    rx: &mut PairConsumer<J>,
+    closed: bool,
+    batch: usize,
+    container: Option<&mut HashedJobContainer<'_, J>>,
+) -> (usize, Option<RuntimeError>) {
+    fn pop<T: Send>(rx: &mut Consumer<T>, closed: bool, batch: usize, f: impl FnMut(T)) -> usize {
+        if closed {
+            rx.pop_batch(batch, f)
+        } else if rx.pop_batch_exact(batch, f) {
+            batch
+        } else {
+            0
+        }
+    }
+    let Some(container) = container else {
+        return (pop(rx, closed, batch, |_| {}), None);
+    };
+    let counted = std::cell::Cell::new(0usize);
+    let mut insert_err: Option<RuntimeError> = None;
+    let outcome = {
+        let mut insert = |pair: HashedPair<J>| {
+            counted.set(counted.get() + 1);
+            if insert_err.is_none() {
+                if let Err(e) = container.insert(pair.0, pair.1) {
+                    insert_err = Some(e);
+                }
+            }
+        };
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pop(rx, closed, batch, &mut insert)
+        }))
+    };
+    let error = match outcome {
+        Err(panic) => Some(RuntimeError::WorkerPanic(phases::panic_message(&*panic))),
+        Ok(_) => insert_err,
+    };
+    (counted.get(), error)
+}
+
+/// Outcome of one combine round.
+enum Round {
+    /// Consumed at least one batch of pairs.
+    Progress,
+    /// Nothing ready (or no consumer available): back off.
+    Idle,
+    /// Every pipeline is closed and drained — combining is over.
+    Done,
+}
+
+/// One idle-round wait, derived from the configured producer-side backoff
+/// so both ends of each pipeline degrade symmetrically: spin briefly after
+/// the last progress (data may be one block away), then sleep instead of
+/// burning the core a co-located mapper may need. `BusyWait` spins and
+/// yields periodically so a co-scheduled mapper can actually fill the
+/// queue — mirroring the producer-side BUSY_WAIT_YIELD_EVERY escape hatch.
+fn idle_wait(backoff: PushBackoff, idle_rounds: u32) {
+    match backoff {
+        PushBackoff::SpinThenSleep { spins, sleep } if idle_rounds > spins => {
+            std::thread::sleep(sleep)
+        }
+        PushBackoff::BusyWait if idle_rounds.is_multiple_of(64) => std::thread::yield_now(),
+        _ => std::hint::spin_loop(),
+    }
+}
+
+/// A combining thread's state across rounds: its container, telemetry,
+/// idle backoff and live-publish cadence. The static combiner and every
+/// adaptive combining thread (dedicated combiners, flex threads in combine
+/// help) drive it through [`read`](Self::read) and
+/// [`end_round`](Self::end_round).
+///
+/// Instrumentation cost: two timer reads per *round*, never per pair, and
+/// only when `telemetry` is on. A round that consumed anything counts as
+/// `busy`; a zero-progress round (including its spin/sleep backoff) counts
+/// as `stalled`, so busy + stalled tracks the thread's wall-clock.
+struct Combining<'a, J: MapReduceJob> {
+    epoch: &'a Epoch<'a, J>,
+    container: Option<HashedJobContainer<'a, J>>,
+    telemetry: bool,
+    wall_start: Option<Instant>,
+    local: LocalTelemetry,
+    idle_rounds: u32,
+    cell: &'a TelemetryCell,
+    /// Publish into `cell` every [`LIVE_PUBLISH_ROUNDS`] rounds, with `wall`
+    /// refreshed so the controller's windows see current totals, rather
+    /// than only once, at [`finish`](Self::finish).
+    live: bool,
+    rounds_since_publish: u32,
+    /// This thread's progress-board slot.
+    slot: usize,
+}
+
+impl<'a, J: MapReduceJob> Combining<'a, J> {
+    fn new(epoch: &'a Epoch<'a, J>, cell: &'a TelemetryCell, live: bool, slot: usize) -> Self {
+        let config = epoch.config;
+        Self {
+            epoch,
+            container: None,
+            telemetry: config.telemetry,
+            wall_start: config.telemetry.then(Instant::now),
+            local: LocalTelemetry::default(),
+            idle_rounds: 0,
+            cell,
+            live,
+            rounds_since_publish: 0,
+            slot,
+        }
+    }
+
+    /// The thread's container, built on first use: a flex thread that is
+    /// never promoted and finds the pipelines already drained never
+    /// allocates one.
+    fn ensure_container(&mut self) -> Result<(), RuntimeError> {
+        if self.container.is_none() {
+            let Epoch { job, config, .. } = *self.epoch;
+            self.container =
+                Some(HashedJobContainer::for_job(job, config.container, config.fixed_capacity)?);
+        }
+        Ok(())
+    }
+
+    /// One [`batched_read`] from `rx` into the container, or in discard
+    /// mode. Returns the elements consumed, whether `rx` is now closed and
+    /// drained, and the read's error, if any.
+    fn read(
+        &mut self,
+        rx: &mut PairConsumer<J>,
+        batch: usize,
+        discard: bool,
+    ) -> (usize, bool, Option<RuntimeError>) {
+        // Read the close flag BEFORE consuming (see `batched_read`).
+        let closed = rx.is_closed();
+        let container = if discard { None } else { self.container.as_mut() };
+        let (consumed, error) = batched_read(rx, closed, batch, container);
+        if consumed > 0 {
+            self.local.items += consumed as u64;
+            self.epoch.ctx.progress(self.slot);
+            if self.telemetry {
+                self.local.batches += 1;
+                self.local.occupancy.record(consumed, batch);
+            }
+        }
+        (consumed, closed && rx.is_empty(), error)
+    }
+
+    fn round_start(&self) -> Option<Instant> {
+        self.telemetry.then(Instant::now)
+    }
+
+    /// Accounts one round begun at `round_start` — backing off first when
+    /// it was idle — and returns whether combining goes on.
+    fn end_round(&mut self, round: Round, round_start: Option<Instant>) -> bool {
+        let progressed = match round {
+            Round::Done => return false,
+            Round::Progress => {
+                self.idle_rounds = 0;
+                true
+            }
+            Round::Idle => {
+                self.local.stall_events += 1;
+                self.idle_rounds = self.idle_rounds.saturating_add(1);
+                idle_wait(self.epoch.config.push_backoff, self.idle_rounds);
+                false
+            }
+        };
+        if let Some(t) = round_start {
+            // The backoff is inside the measured round, so idle waits land
+            // in `stalled`.
+            let elapsed = t.elapsed();
+            if progressed {
+                self.local.busy += elapsed;
+            } else {
+                self.local.stalled += elapsed;
+            }
+        }
+        if self.live {
+            self.rounds_since_publish += 1;
+            if self.rounds_since_publish >= LIVE_PUBLISH_ROUNDS {
+                self.rounds_since_publish = 0;
+                self.publish();
+            }
+        }
+        true
+    }
+
+    /// One combine round under the adaptive runtime: check a consumer out of
+    /// the registry, perform one batched read, check the consumer back in
+    /// (or retire it when closed and drained), and account the round.
+    /// Returns whether combining goes on.
+    ///
+    /// Holding each consumer for a single batch is what lets the set of
+    /// combining threads change between rounds. The batch size is re-read
+    /// from [`AdaptiveCtl`] every round, which is how the controller's batch
+    /// decisions take effect; after any thread records an epoch error, every
+    /// round reads in discard mode.
+    fn adaptive_round(&mut self, adaptive: &Adaptive<J>) -> bool {
+        let round_start = self.round_start();
+        let round = self.registry_read(adaptive);
+        self.end_round(round, round_start)
+    }
+
+    fn registry_read(&mut self, adaptive: &Adaptive<J>) -> Round {
+        let Adaptive { registry, ctl } = adaptive;
+        let errors = self.epoch.errors;
+        if registry.all_done() {
+            return Round::Done;
+        }
+        let Some(mut rx) = registry.checkout() else {
+            // Every consumer is momentarily held by other combining threads —
+            // or the last one was just retired; disambiguate so callers exit.
+            return if registry.all_done() { Round::Done } else { Round::Idle };
+        };
+        let discard = errors.tripped();
+        if !discard {
+            if let Err(e) = self.ensure_container() {
+                errors.record(e);
+                registry.checkin(rx);
+                return Round::Idle;
+            }
+        }
+        let batch = ctl.batch.load(Ordering::Relaxed).max(1);
+        let (consumed, drained, error) = self.read(&mut rx, batch, discard);
+        if let Some(e) = error {
+            errors.record(e);
+        }
+        if drained {
+            // Close observed before the final drain: this pipeline can never
+            // produce again *this run*. Park the consumer on the retired list
+            // and count it out of circulation.
+            registry.retire(rx);
+        } else {
+            registry.checkin(rx);
+        }
+        if consumed > 0 {
+            Round::Progress
+        } else {
+            Round::Idle
+        }
+    }
+
+    fn publish(&mut self) {
+        if let Some(t) = self.wall_start {
+            self.local.wall = t.elapsed();
+        }
+        self.cell.publish(&self.local);
+    }
+
+    /// Ends this thread's combining: publishes the final telemetry and
+    /// drains the container into the pair list handed to reduce.
+    fn finish(mut self) -> phases::HashedPairs<J> {
+        self.publish();
+        let mut pairs = Vec::new();
+        if let Some(mut container) = self.container.take() {
+            container.drain_into(&mut pairs);
+        }
+        pairs
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Static scheduling: each mapper feeds one queue, and each combiner owns the
+// queues the placement plan pairs with it for the whole run.
+// ---------------------------------------------------------------------------
+
+/// One mapper's loop: pull tasks from the locality-grouped queues and map
+/// them through this mapper's [`Emission`], then drain-flush and close the
+/// queue. Publishes its counters and (when telemetry is on) wall-clock
+/// telemetry into `cell` once, at exit.
+pub(crate) fn mapper_loop<J: MapReduceJob>(
+    epoch: &Epoch<'_, J>,
+    home_group: usize,
+    tx: &mut PairProducer<J>,
+    cell: &TelemetryCell,
+    slot: usize,
+) {
+    let mut emission = Emission::new(tx, epoch, cell, false, slot);
+    while let Some(task) = epoch.queues.claim(home_group) {
+        if epoch.ctx.cancelled() {
+            break;
+        }
+        emission.map_task(task);
+    }
+    emission.close();
 }
 
 /// One combiner's loop: round-robin over its assigned queues, consuming
@@ -476,159 +838,44 @@ pub(crate) fn mapper_loop<J: MapReduceJob>(
 /// phase ends. Publishes its counters and (when telemetry is on)
 /// wall-clock telemetry into `cell` once, at exit.
 ///
-/// Panic containment is per *batch*: one `catch_unwind` wraps each
-/// `pop_batch`, not each element. `pop_batch` publishes its consumed prefix
-/// on the unwind path (see [`Consumer::pop_batch`]), so a panicking combine
-/// function loses nothing to double-reads; the error is recorded and every
-/// later batch drains in discard mode so blocked mappers still terminate.
-///
-/// Instrumentation cost: two timer reads per *round* over the assigned
-/// queues, never per pair. A round that consumed anything counts as
-/// `busy`; a zero-progress round (including its spin/sleep backoff) counts
-/// as `stalled` idle time.
+/// The first error — a panicking combine function, a container overflow —
+/// is kept and returned at the end; every later batch drains in discard
+/// mode so blocked mappers still terminate.
 pub(crate) fn combiner_loop<J: MapReduceJob>(
-    job: &J,
-    config: &RuntimeConfig,
+    epoch: &Epoch<'_, J>,
     consumers: &mut [PairConsumer<J>],
     cell: &TelemetryCell,
-    ctx: &FaultCtx<'_>,
     slot: usize,
 ) -> Result<phases::HashedPairs<J>, RuntimeError> {
-    let _live = LiveGuard::enter(ctx.board);
-    let telemetry = config.telemetry;
-    let mut container = HashedJobContainer::for_job(job, config.container, config.fixed_capacity)?;
-    let wall_start = telemetry.then(Instant::now);
-    let mut local = LocalTelemetry::default();
+    let mut combining = Combining::new(epoch, cell, false, slot);
+    combining.ensure_container()?;
     let mut first_error: Option<RuntimeError> = None;
-    let mut total_consumed = 0u64;
-    let batch = config.batch_size;
-    let (idle_spins, idle_sleep) = idle_policy(config.push_backoff);
-    let mut idle_rounds = 0u32;
-    loop {
-        // Watchdog cancellation: abandon the drain — the run is being torn
-        // down and its partial results discarded.
-        if ctx.cancelled() {
-            break;
-        }
-        let round_start = telemetry.then(Instant::now);
+    // Watchdog cancellation abandons the drain: the run is being torn down
+    // and its partial results discarded.
+    while !epoch.ctx.cancelled() {
+        let round_start = combining.round_start();
         let mut progressed = false;
         let mut all_done = true;
         for rx in consumers.iter_mut() {
-            // Read the close flag BEFORE consuming: a queue observed closed
-            // and then drained to empty can never produce again (the
-            // producer's pushes all happen before its drop).
-            let closed = rx.is_closed();
-            let consumed = if first_error.is_none() {
-                // Count consumption in a Cell *inside* the callback, before
-                // each insert: on an unwind mid-batch this still equals the
-                // number of elements the queue's head advanced past, keeping
-                // the conservation accounting exact.
-                let counted = std::cell::Cell::new(0usize);
-                let mut insert_err: Option<RuntimeError> = None;
-                let outcome = {
-                    let mut insert = |pair: HashedPair<J>| {
-                        counted.set(counted.get() + 1);
-                        if insert_err.is_none() {
-                            if let Err(e) = container.insert(pair.0, pair.1) {
-                                insert_err = Some(e);
-                            }
-                        }
-                    };
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        if closed {
-                            // End of map phase for this queue: consume any
-                            // remaining data, partial batches included.
-                            rx.pop_batch(batch, &mut insert)
-                        } else if rx.pop_batch_exact(batch, &mut insert) {
-                            // Mappers still running: prefer full batches
-                            // (paper §III-A, "the buffer is divided into
-                            // blocks of elements that are processed
-                            // contiguously").
-                            batch
-                        } else {
-                            0
-                        }
-                    }))
-                };
-                if let Err(panic) = outcome {
-                    // A panic in the job's combine function must not kill
-                    // this thread: its queues would never drain and the
-                    // blocked mappers would never terminate.
-                    first_error = Some(RuntimeError::WorkerPanic(phases::panic_message(&*panic)));
-                }
-                if let Some(e) = insert_err {
-                    first_error.get_or_insert(e);
-                }
-                counted.get()
-            } else {
-                // Error mode: keep the pipeline moving, discarding data.
-                if closed {
-                    rx.pop_batch(batch, |_| {})
-                } else if rx.pop_batch_exact(batch, |_| {}) {
-                    batch
-                } else {
-                    0
-                }
-            };
-            if consumed > 0 {
-                total_consumed += consumed as u64;
-                progressed = true;
-                ctx.progress(slot);
-                if telemetry {
-                    local.batches += 1;
-                    local.occupancy.record(consumed, batch);
-                }
+            let (consumed, drained, error) =
+                combining.read(rx, epoch.config.batch_size, first_error.is_some());
+            if let Some(e) = error {
+                first_error.get_or_insert(e);
             }
-            if !(closed && rx.is_empty()) {
-                all_done = false;
-            }
+            progressed |= consumed > 0;
+            all_done &= drained;
         }
-        if !all_done {
-            if progressed {
-                idle_rounds = 0;
-            } else {
-                // Nothing to do yet: spin briefly (data may be one block
-                // away), then sleep instead of burning the core a
-                // co-located mapper may need — symmetric to the producer's
-                // push backoff.
-                local.stall_events += 1;
-                idle_rounds = idle_rounds.saturating_add(1);
-                match idle_sleep {
-                    Some(sleep) if idle_rounds > idle_spins => std::thread::sleep(sleep),
-                    // Busy-wait mode: yield periodically so a co-scheduled
-                    // mapper can actually fill the queue — mirrors the
-                    // producer-side BUSY_WAIT_YIELD_EVERY escape hatch.
-                    None if idle_rounds.is_multiple_of(64) => std::thread::yield_now(),
-                    _ => std::hint::spin_loop(),
-                }
-            }
-        }
-        if let Some(t) = round_start {
-            // The backoff spin/sleep is inside the measured round, so idle
-            // waits land in `stalled` and busy + stalled tracks the
-            // thread's wall-clock.
-            let elapsed = t.elapsed();
-            if progressed {
-                local.busy += elapsed;
-            } else {
-                local.stalled += elapsed;
-            }
-        }
-        if all_done {
+        let round = match (progressed, all_done) {
+            (true, _) => Round::Progress,
+            (false, true) => Round::Done,
+            (false, false) => Round::Idle,
+        };
+        if !combining.end_round(round, round_start) || all_done {
             break;
         }
     }
-    local.items = total_consumed;
-    if let Some(t) = wall_start {
-        local.wall = t.elapsed();
-    }
-    cell.publish(&local);
-    if let Some(e) = first_error {
-        return Err(e);
-    }
-    let mut pairs = Vec::new();
-    container.drain_into(&mut pairs);
-    Ok(pairs)
+    let pairs = combining.finish();
+    first_error.map_or(Ok(pairs), Err)
 }
 
 // ---------------------------------------------------------------------------
@@ -715,12 +962,14 @@ impl<J: MapReduceJob> QueueRegistry<J> {
     }
 }
 
-/// First-error containment shared by every combining thread.
+/// First-error containment for a whole epoch, shared by every worker thread.
 ///
-/// The static combiners each keep their own error and the session records
-/// them here; with role mobility the slot must be global: after any thread records an error, *all* subsequent
-/// rounds drain the pipelines in discard mode so blocked mappers still
-/// terminate — the same invariant [`combiner_loop`] maintains per thread.
+/// A static combiner keeps its own first error until its loop ends; the
+/// session then records it here. Adaptive combining threads record errors
+/// here directly, because with role mobility the slot must be global.
+/// After any thread records an error, every later adaptive round drains the
+/// pipelines in discard mode, so blocked mappers still terminate — the
+/// invariant [`combiner_loop`] keeps per thread.
 #[derive(Default)]
 pub(crate) struct ErrorSlot {
     tripped: AtomicBool,
@@ -788,216 +1037,27 @@ impl AdaptiveCtl {
     }
 }
 
-/// Outcome of one adaptive combine round (one consumer checkout).
-enum Round {
-    /// Consumed a batch of pairs.
-    Progress,
-    /// No consumer available, or no full batch ready: back off.
-    Idle,
-    /// Every pipeline is retired — combining is over.
-    Done,
-}
-
-/// One combine round under the adaptive runtime: check a consumer out of the
-/// registry, perform one batched read into this thread's container, check
-/// the consumer back in (or retire it when closed and drained).
-///
-/// Mirrors [`combiner_loop`]'s per-batch semantics exactly — close flag read
-/// *before* consuming, full batches preferred while the producer runs,
-/// per-batch `catch_unwind` with the consumed count kept exact on unwind,
-/// discard mode after a recorded error — but holds each consumer for a
-/// single batch only, so the set of combining threads can change between
-/// rounds. The batch size is re-read from [`AdaptiveCtl`] every round,
-/// which is how the controller's batch decisions take effect.
-fn adaptive_round<'j, J: MapReduceJob>(
-    job: &'j J,
-    config: &RuntimeConfig,
-    registry: &QueueRegistry<J>,
-    ctl: &AdaptiveCtl,
-    errors: &ErrorSlot,
-    container: &mut Option<HashedJobContainer<'j, J>>,
-    local: &mut LocalTelemetry,
-) -> Round {
-    if registry.all_done() {
-        return Round::Done;
-    }
-    let Some(mut rx) = registry.checkout() else {
-        // Every consumer is momentarily held by other combining threads —
-        // or the last one was just retired; disambiguate so callers exit.
-        return if registry.all_done() { Round::Done } else { Round::Idle };
-    };
-    let batch = ctl.batch.load(Ordering::Relaxed).max(1);
-    let closed = rx.is_closed();
-    let consumed = if errors.tripped() {
-        // Error mode: keep the pipeline moving, discarding data.
-        if closed {
-            rx.pop_batch(batch, |_| {})
-        } else if rx.pop_batch_exact(batch, |_| {}) {
-            batch
-        } else {
-            0
-        }
-    } else {
-        // Containers are built lazily: a flex thread that is never promoted
-        // and finds the pipelines already drained never allocates one.
-        if container.is_none() {
-            match HashedJobContainer::for_job(job, config.container, config.fixed_capacity) {
-                Ok(c) => *container = Some(c),
-                Err(e) => {
-                    errors.record(e);
-                    registry.checkin(rx);
-                    return Round::Idle;
-                }
-            }
-        }
-        let sink = container.as_mut().expect("container built above");
-        let counted = std::cell::Cell::new(0usize);
-        let mut insert_err: Option<RuntimeError> = None;
-        let outcome = {
-            let mut insert = |pair: HashedPair<J>| {
-                counted.set(counted.get() + 1);
-                if insert_err.is_none() {
-                    if let Err(e) = sink.insert(pair.0, pair.1) {
-                        insert_err = Some(e);
-                    }
-                }
-            };
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if closed {
-                    rx.pop_batch(batch, &mut insert)
-                } else if rx.pop_batch_exact(batch, &mut insert) {
-                    batch
-                } else {
-                    0
-                }
-            }))
-        };
-        if let Err(panic) = outcome {
-            errors.record(RuntimeError::WorkerPanic(phases::panic_message(&*panic)));
-        }
-        if let Some(e) = insert_err {
-            errors.record(e);
-        }
-        counted.get()
-    };
-    if closed && rx.is_empty() {
-        // Close observed before the final drain: this pipeline can never
-        // produce again *this run*. Park the consumer on the retired list
-        // and count it out of circulation.
-        registry.retire(rx);
-    } else {
-        registry.checkin(rx);
-    }
-    if consumed > 0 {
-        local.items += consumed as u64;
-        local.batches += 1;
-        local.occupancy.record(consumed, batch);
-        Round::Progress
-    } else {
-        Round::Idle
-    }
-}
-
-/// One idle-round wait, shared by every adaptive combining loop: spin
-/// briefly, then sleep (or yield periodically in busy-wait mode) — the same
-/// policy as the static combiner's idle branch.
-fn idle_wait(idle_spins: u32, idle_sleep: Option<Duration>, idle_rounds: u32) {
-    match idle_sleep {
-        Some(sleep) if idle_rounds > idle_spins => std::thread::sleep(sleep),
-        None if idle_rounds.is_multiple_of(64) => std::thread::yield_now(),
-        _ => std::hint::spin_loop(),
-    }
-}
-
-/// Drains a lazily-built container into the pair list handed to reduce.
-fn drain_container<J: MapReduceJob>(
-    container: Option<HashedJobContainer<'_, J>>,
-) -> phases::HashedPairs<J> {
-    let mut pairs = Vec::new();
-    if let Some(mut c) = container {
-        c.drain_into(&mut pairs);
-    }
-    pairs
+/// One adaptive epoch's shared surfaces: the registry the combining threads
+/// check read-ends out of, and the controller's write surface — rebuilt
+/// each epoch, so job N's role changes never leak into job N+1.
+pub(crate) struct Adaptive<J: MapReduceJob> {
+    pub(crate) registry: QueueRegistry<J>,
+    pub(crate) ctl: AdaptiveCtl,
 }
 
 /// A dedicated combiner under the adaptive runtime: combine rounds until
 /// every pipeline is retired. Role-fixed — the controller only re-rolls flex
 /// threads — and error-contained through the shared [`ErrorSlot`], so this
-/// loop itself is infallible.
-///
-/// Publishes telemetry both live (every [`LIVE_PUBLISH_ROUNDS`] rounds, with
-/// `wall` refreshed so the controller's windows see current totals) and once
-/// at exit, like the static path.
-#[allow(clippy::too_many_arguments)] // internal: the adaptive knob list
-pub(crate) fn adaptive_combiner_loop<'j, J: MapReduceJob>(
-    job: &'j J,
-    config: &RuntimeConfig,
-    registry: &QueueRegistry<J>,
-    ctl: &AdaptiveCtl,
-    errors: &ErrorSlot,
+/// loop itself is infallible. Publishes telemetry live and once at exit.
+pub(crate) fn adaptive_combiner_loop<J: MapReduceJob>(
+    epoch: &Epoch<'_, J>,
+    adaptive: &Adaptive<J>,
     cell: &TelemetryCell,
-    ctx: &FaultCtx<'_>,
     slot: usize,
 ) -> phases::HashedPairs<J> {
-    let _live = LiveGuard::enter(ctx.board);
-    let wall_start = Instant::now();
-    let mut local = LocalTelemetry::default();
-    let mut container: Option<HashedJobContainer<'j, J>> = None;
-    let (idle_spins, idle_sleep) = idle_policy(config.push_backoff);
-    let mut idle_rounds = 0u32;
-    let mut rounds_since_publish = 0u32;
-    loop {
-        if ctx.cancelled() {
-            break;
-        }
-        let round_start = Instant::now();
-        match adaptive_round(job, config, registry, ctl, errors, &mut container, &mut local) {
-            Round::Done => break,
-            Round::Progress => {
-                idle_rounds = 0;
-                local.busy += round_start.elapsed();
-                ctx.progress(slot);
-            }
-            Round::Idle => {
-                local.stall_events += 1;
-                idle_rounds = idle_rounds.saturating_add(1);
-                idle_wait(idle_spins, idle_sleep, idle_rounds);
-                local.stalled += round_start.elapsed();
-            }
-        }
-        rounds_since_publish += 1;
-        if rounds_since_publish >= LIVE_PUBLISH_ROUNDS {
-            rounds_since_publish = 0;
-            local.wall = wall_start.elapsed();
-            cell.publish(&local);
-        }
-    }
-    local.wall = wall_start.elapsed();
-    cell.publish(&local);
-    drain_container(container)
-}
-
-/// Publishes `buffer` (possibly partial) as one block and records the flush.
-/// Shared by the flex thread's role-switch flush and its end-of-map drain;
-/// an empty buffer is a no-op so repeated role checks stay free.
-fn flush_block<K: Send, V: Send>(
-    tx: &mut Producer<(K, V)>,
-    buffer: &mut Vec<(K, V)>,
-    backoff: &BackoffPolicy,
-    emit_block: usize,
-    full_events: &mut u64,
-    local: &mut LocalTelemetry,
-    cancel: Option<&AtomicBool>,
-) {
-    if buffer.is_empty() {
-        return;
-    }
-    let occupied = buffer.len();
-    let flush_start = Instant::now();
-    *full_events += publish_block(tx, buffer, backoff, cancel);
-    local.stalled += flush_start.elapsed();
-    local.batches += 1;
-    local.occupancy.record(occupied, emit_block);
+    let mut combining = Combining::new(epoch, cell, true, slot);
+    while !epoch.ctx.cancelled() && combining.adaptive_round(adaptive) {}
+    combining.finish()
 }
 
 /// One flex thread: starts as a mapper over the locality-grouped task
@@ -1025,202 +1085,41 @@ fn flush_block<K: Send, V: Send>(
 /// stalls reach the controller promptly — and combine help into
 /// `combine_cell`. A re-rolled thread therefore never pollutes the map
 /// pool's throughput estimate.
-#[allow(clippy::too_many_arguments)] // internal: the adaptive knob list
-pub(crate) fn flex_loop<'j, J: MapReduceJob>(
-    job: &'j J,
-    input: &[J::Input],
-    config: &RuntimeConfig,
-    queues: &TaskQueues,
+pub(crate) fn flex_loop<J: MapReduceJob>(
+    epoch: &Epoch<'_, J>,
+    adaptive: &Adaptive<J>,
     home_group: usize,
     index: usize,
     tx: &mut PairProducer<J>,
-    backoff: &BackoffPolicy,
-    emit_block: usize,
-    registry: &QueueRegistry<J>,
-    ctl: &AdaptiveCtl,
-    errors: &ErrorSlot,
     map_cell: &TelemetryCell,
     combine_cell: &TelemetryCell,
-    ctx: &FaultCtx<'_>,
 ) -> phases::HashedPairs<J> {
-    let _live = LiveGuard::enter(ctx.board);
-    let push_cancel = ctx.push_cancel();
-    let wall_start = Instant::now();
-    let mut map_local = LocalTelemetry::default();
-    let mut combine_local = LocalTelemetry::default();
-    let mut emitted = 0u64;
-    let mut full_events = 0u64;
-    let mut buffer: Vec<HashedPair<J>> = Vec::with_capacity(emit_block);
-    let mut container: Option<HashedJobContainer<'j, J>> = None;
-    let (idle_spins, idle_sleep) = idle_policy(config.push_backoff);
-    let mut idle_rounds = 0u32;
-    let mut rounds_since_publish = 0u32;
+    let mut emission = Emission::new(tx, epoch, map_cell, true, index);
+    let mut combining = Combining::new(epoch, combine_cell, true, index);
 
     // Phase A: map, or help combine while re-rolled.
-    loop {
-        if ctx.cancelled() {
-            break;
-        }
-        if ctl.combining[index].load(Ordering::Relaxed) {
+    while !epoch.ctx.cancelled() {
+        if adaptive.ctl.combining[index].load(Ordering::Relaxed) {
             // Entering (or continuing) combine help: flush buffered
             // emissions first so no pairs sit unpublished while this thread
             // stops producing.
-            flush_block(
-                &mut *tx,
-                &mut buffer,
-                backoff,
-                emit_block,
-                &mut full_events,
-                &mut map_local,
-                push_cancel,
-            );
-            if queues.is_exhausted() {
+            emission.flush();
+            if epoch.queues.is_exhausted() || !combining.adaptive_round(adaptive) {
                 break;
             }
-            let round_start = Instant::now();
-            match adaptive_round(
-                job,
-                config,
-                registry,
-                ctl,
-                errors,
-                &mut container,
-                &mut combine_local,
-            ) {
-                Round::Done => break,
-                Round::Progress => {
-                    idle_rounds = 0;
-                    combine_local.busy += round_start.elapsed();
-                    ctx.progress(index);
-                }
-                Round::Idle => {
-                    combine_local.stall_events += 1;
-                    idle_rounds = idle_rounds.saturating_add(1);
-                    idle_wait(idle_spins, idle_sleep, idle_rounds);
-                    combine_local.stalled += round_start.elapsed();
-                }
-            }
-            rounds_since_publish += 1;
-            if rounds_since_publish >= LIVE_PUBLISH_ROUNDS {
-                rounds_since_publish = 0;
-                combine_local.wall = wall_start.elapsed();
-                combine_cell.publish(&combine_local);
-            }
         } else {
-            let Some(task) = queues.claim(home_group) else { break };
-            let stalled_before = map_local.stalled;
-            let map_start = Instant::now();
-            {
-                let local = &mut map_local;
-                let tx = &mut *tx;
-                let buffer = &mut buffer;
-                let full_events = &mut full_events;
-                let wall_start = &wall_start;
-                let mut sink = |key: J::Key, value: J::Value| {
-                    // Hash once at emission, as in [`mapper_loop`].
-                    buffer.push((Hashed::wrap(config.hasher, key), value));
-                    if buffer.len() >= emit_block {
-                        let occupied = buffer.len();
-                        let flush_start = Instant::now();
-                        *full_events += publish_block(tx, buffer, backoff, push_cancel);
-                        ctx.progress(index);
-                        local.stalled += flush_start.elapsed();
-                        local.batches += 1;
-                        local.occupancy.record(occupied, emit_block);
-                        // Live-publish after each flush: back-pressure
-                        // stalls become visible to the controller without
-                        // waiting for the whole task to finish. (`items`
-                        // lags until the task ends — the emitter owns the
-                        // authoritative count.)
-                        local.stall_events = *full_events;
-                        local.wall = wall_start.elapsed();
-                        map_cell.publish(local);
-                    }
-                };
-                if ctx.staged {
-                    // Fault-tolerant task execution, as in [`mapper_loop`]:
-                    // stage per task, publish only on success.
-                    let staged = phases::map_task_staged(
-                        job,
-                        task,
-                        input,
-                        ctx.retries,
-                        ctx.skip_poison,
-                        Some(ctx.cancel),
-                        ctx.faults,
-                    );
-                    if let Some((pairs, count)) = staged {
-                        for (key, value) in pairs {
-                            sink(key, value);
-                        }
-                        emitted += count;
-                    }
-                } else {
-                    let mut emitter = Emitter::with_cancel(&mut sink, ctx.cancel);
-                    job.map(&input[task.start..task.end], &mut emitter);
-                    emitted += emitter.emitted();
-                }
-            }
-            ctx.progress(index);
-            map_local.busy +=
-                map_start.elapsed().saturating_sub(map_local.stalled - stalled_before);
-            map_local.items = emitted;
-            map_local.stall_events = full_events;
-            map_local.wall = wall_start.elapsed();
-            map_cell.publish(&map_local);
+            let Some(task) = epoch.queues.claim(home_group) else { break };
+            emission.map_task(task);
         }
     }
 
-    // Map phase over for this thread: publish the partial block, then close
-    // the queue with `finish` — the close is the retire signal the combine
-    // rounds watch for, and keeping the handle alive (vs dropping it) lets
-    // a persistent session re-arm the same queue for the next job.
-    flush_block(
-        &mut *tx,
-        &mut buffer,
-        backoff,
-        emit_block,
-        &mut full_events,
-        &mut map_local,
-        push_cancel,
-    );
-    map_local.items = emitted;
-    map_local.stall_events = full_events;
-    map_local.wall = wall_start.elapsed();
-    map_cell.publish(&map_local);
-    tx.finish();
+    // Map phase over for this thread: the close is the retire signal the
+    // combine rounds watch for.
+    emission.close();
 
     // Phase B: help drain every remaining pipeline.
-    loop {
-        if ctx.cancelled() {
-            break;
-        }
-        let round_start = Instant::now();
-        match adaptive_round(job, config, registry, ctl, errors, &mut container, &mut combine_local)
-        {
-            Round::Done => break,
-            Round::Progress => {
-                idle_rounds = 0;
-                combine_local.busy += round_start.elapsed();
-                ctx.progress(index);
-            }
-            Round::Idle => {
-                combine_local.stall_events += 1;
-                idle_rounds = idle_rounds.saturating_add(1);
-                idle_wait(idle_spins, idle_sleep, idle_rounds);
-                combine_local.stalled += round_start.elapsed();
-            }
-        }
-        rounds_since_publish += 1;
-        if rounds_since_publish >= LIVE_PUBLISH_ROUNDS {
-            rounds_since_publish = 0;
-            combine_local.wall = wall_start.elapsed();
-            combine_cell.publish(&combine_local);
-        }
-    }
-    combine_local.wall = wall_start.elapsed();
-    combine_cell.publish(&combine_local);
-    drain_container(container)
+    while !epoch.ctx.cancelled() && combining.adaptive_round(adaptive) {}
+    combining.finish()
 }
 
 /// The online controller: every `adapt_interval` it snapshots the live
@@ -1233,12 +1132,10 @@ pub(crate) fn flex_loop<'j, J: MapReduceJob>(
 /// included, so the trace documents why the run stayed put as well as why
 /// it moved. The controller is the only role/batch writer, so its local
 /// `active_combiners` count cannot drift from the flags.
-#[allow(clippy::too_many_arguments)] // internal: the adaptive knob list
 pub(crate) fn controller_loop<J: MapReduceJob>(
     config: &RuntimeConfig,
     bounds: AdaptiveBounds,
-    registry: &QueueRegistry<J>,
-    ctl: &AdaptiveCtl,
+    Adaptive { registry, ctl }: &Adaptive<J>,
     map_cells: &[TelemetryCell],
     flex_combine_cells: &[TelemetryCell],
     dedicated_cells: &[TelemetryCell],
@@ -1811,6 +1708,65 @@ mod tests {
         let phoenix_out =
             Backend::Phoenix.engine(config(4, 4)).unwrap().submit(&Mod9, &input).unwrap().output;
         assert_eq!(ramr_out.pairs, phoenix_out.pairs);
+    }
+
+    // --- The shared batched-read step -------------------------------------
+
+    /// Folds every value into key 0; the combine panics on value `.0`.
+    struct PanicsOn(u64);
+
+    impl MapReduceJob for PanicsOn {
+        type Input = u64;
+        type Key = u64;
+        type Value = u64;
+
+        fn map(&self, _: &[u64], _: &mut Emitter<'_, u64, u64>) {}
+
+        fn combine(&self, acc: &mut u64, v: u64) {
+            if v == self.0 {
+                panic!("combine exploded");
+            }
+            *acc += v;
+        }
+    }
+
+    /// A queue holding the pairs `(0, v)` for each of `values`, still open.
+    fn queue_of(values: std::ops::Range<u64>) -> (PairProducer<PanicsOn>, PairConsumer<PanicsOn>) {
+        let (mut tx, rx) = ramr_spsc::SpscQueue::with_capacity(16).split();
+        for v in values {
+            assert!(tx.try_push((Hashed::wrap(HasherKind::Fx, 0), v)).is_ok());
+        }
+        (tx, rx)
+    }
+
+    fn remaining(rx: &mut PairConsumer<PanicsOn>) -> Vec<u64> {
+        let mut rest = Vec::new();
+        rx.pop_batch(16, |(_, v)| rest.push(v));
+        rest
+    }
+
+    #[test]
+    fn batched_read_counts_through_a_panicking_combine_and_resumes_after_it() {
+        let job = PanicsOn(5);
+        let (_tx, mut rx) = queue_of(0..10);
+        let mut container = HashedJobContainer::for_job(&job, ContainerKind::Hash, None).unwrap();
+        let (consumed, error) = batched_read(&mut rx, false, 8, Some(&mut container));
+        // The head passed values 0..=5: the insert of 5 panicked.
+        assert_eq!(consumed, 6);
+        assert!(
+            matches!(error, Some(RuntimeError::WorkerPanic(ref m)) if m.contains("combine exploded")),
+            "got {error:?}"
+        );
+        assert_eq!(remaining(&mut rx), vec![6, 7, 8, 9], "the next pop starts after the panic");
+    }
+
+    #[test]
+    fn batched_read_in_discard_mode_consumes_a_full_batch_without_inserting() {
+        let (_tx, mut rx) = queue_of(0..10);
+        let (consumed, error) = batched_read::<PanicsOn>(&mut rx, false, 4, None);
+        assert_eq!(consumed, 4);
+        assert!(error.is_none(), "discarding runs no combine: got {error:?}");
+        assert_eq!(remaining(&mut rx), vec![4, 5, 6, 7, 8, 9]);
     }
 
     // --- Adaptive mode -----------------------------------------------------

@@ -23,10 +23,12 @@
 //!    its own stack — task queues, per-job telemetry cells, fault log,
 //!    error slot — arms the done-counter, and publishes the frame pointer
 //!    together with the bumped epoch under the state mutex.
-//! 2. Workers wake, run exactly one job's worth of their role loop
-//!    ([`mapper_loop`], [`combiner_loop`], [`flex_loop`],
-//!    [`adaptive_combiner_loop`] in `runtime.rs`), close their queues with
-//!    `finish` (not drop), and decrement the done-counter.
+//! 2. Workers wake and run one job's worth of their role. Every worker
+//!    runs the same epoch loop ([`worker`]); only the body it plugs in
+//!    differs — one of the role loops [`mapper_loop`], [`combiner_loop`],
+//!    [`flex_loop`] and [`adaptive_combiner_loop`] in `runtime.rs` — along
+//!    with its end-of-epoch cleanup. Workers close their queues with
+//!    `finish` (not drop) and decrement the done-counter.
 //! 3. `submit` returns only after the counter hits zero, so the frame —
 //!    and the `&J`/`&[J::Input]` borrows smuggled through it — never
 //!    outlives the epoch. Static combiners re-arm (drain + reopen) their
@@ -58,8 +60,8 @@ use ramr_topology::{CpuSlot, MachineModel, PlacementPlan};
 
 use crate::runtime::{
     adaptive_combiner_loop, combiner_loop, controller_loop, flex_loop, mapper_loop, maybe_pin,
-    thread_labels, to_backoff, watchdog_loop, AdaptiveCtl, ErrorSlot, FaultCtx, PairConsumer,
-    PairProducer, QueueRegistry, ReportedOutput, RunReport,
+    thread_labels, watchdog_loop, Adaptive, AdaptiveCtl, Epoch, ErrorSlot, FaultCtx, LiveGuard,
+    PairConsumer, PairProducer, QueueRegistry, ReportedOutput, RunReport,
 };
 use crate::tuning::{AdaptiveBounds, AdaptiveSeed};
 
@@ -90,29 +92,21 @@ struct JobFrame<J: MapReduceJob> {
     combiner_cells: Vec<TelemetryCell>,
     /// Adaptive only: the flex threads' combine-help halves.
     flex_combine_cells: Vec<TelemetryCell>,
-    /// Adaptive only: the shared pool of pipeline read-ends.
-    registry: Option<QueueRegistry<J>>,
-    /// Adaptive only: the controller's role/batch write surface — rebuilt
-    /// each epoch, so job N's role changes never leak into job N+1's
-    /// starting split unless the caller explicitly carried them forward
-    /// with a one-shot [`RamrSession::set_adaptive_seed`].
-    ctl: Option<AdaptiveCtl>,
+    /// Adaptive only: the shared pool of pipeline read-ends and the
+    /// controller's role/batch write surface — rebuilt each epoch, so job
+    /// N's role changes never leak into job N+1's starting split unless the
+    /// caller explicitly carried them forward with a one-shot
+    /// [`RamrSession::set_adaptive_seed`].
+    adaptive: Option<Adaptive<J>>,
     /// Combined partial results (hashes still attached), pushed by
     /// whichever worker produced them.
     partials: Mutex<Vec<phases::HashedPairs<J>>>,
 }
 
 impl<J: MapReduceJob> JobFrame<J> {
-    /// # Safety
-    ///
-    /// Callers must hold a published epoch (see module docs): the frame's
-    /// job/input pointers are live for exactly that window.
-    unsafe fn job(&self) -> &J {
-        &*self.job
-    }
-
-    unsafe fn input(&self) -> &[J::Input] {
-        std::slice::from_raw_parts(self.input, self.input_len)
+    /// The adaptive epoch's registry and controller surface.
+    fn adaptive(&self) -> &Adaptive<J> {
+        self.adaptive.as_ref().expect("adaptive frame has a registry and a ctl")
     }
 }
 
@@ -393,19 +387,30 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
             if config.adaptive {
                 for (m, tx) in producers.into_iter().enumerate() {
                     let shared = Arc::clone(&shared);
-                    let slot = plan.mapper_slot(m);
-                    let home_group = group_of_mapper(m);
+                    let (slot, home_group) = (plan.mapper_slot(m), group_of_mapper(m));
+                    let body = move |tx: &mut PairProducer<J>,
+                                     e: &Epoch<'_, J>,
+                                     f: &JobFrame<J>| {
+                        let (map_cell, combine_cell) = (&f.map_cells[m], &f.flex_combine_cells[m]);
+                        let adaptive = f.adaptive();
+                        Ok(Some(flex_loop(e, adaptive, home_group, m, tx, map_cell, combine_cell)))
+                    };
                     handles.push(spawn(
                         format!("ramr-flex-{m}"),
-                        Box::new(move || flex_worker(shared, tx, m, home_group, slot)),
+                        Box::new(move || worker(shared, slot, tx, body, close_if_unwound::<J>)),
                     )?);
                 }
                 for c in 0..config.num_combiners {
                     let shared = Arc::clone(&shared);
                     let slot = plan.combiner_slot(c);
+                    let body = move |_: &mut (), e: &Epoch<'_, J>, f: &JobFrame<J>| {
+                        let cell = &f.combiner_cells[c];
+                        let progress_slot = e.config.num_workers + c;
+                        Ok(Some(adaptive_combiner_loop(e, f.adaptive(), cell, progress_slot)))
+                    };
                     handles.push(spawn(
                         format!("ramr-combiner-{c}"),
-                        Box::new(move || dedicated_combiner_worker(shared, c, slot)),
+                        Box::new(move || worker(shared, slot, (), body, |_, _| {})),
                     )?);
                 }
                 held_consumers = consumers;
@@ -420,19 +425,36 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
                 }
                 for (m, tx) in producers.into_iter().enumerate() {
                     let shared = Arc::clone(&shared);
-                    let slot = plan.mapper_slot(m);
-                    let home_group = group_of_mapper(m);
+                    let (slot, home_group) = (plan.mapper_slot(m), group_of_mapper(m));
+                    let body =
+                        move |tx: &mut PairProducer<J>, e: &Epoch<'_, J>, f: &JobFrame<J>| {
+                            mapper_loop(e, home_group, tx, &f.map_cells[m], m);
+                            Ok(None)
+                        };
                     handles.push(spawn(
                         format!("ramr-mapper-{m}"),
-                        Box::new(move || static_mapper_worker(shared, tx, m, home_group, slot)),
+                        Box::new(move || worker(shared, slot, tx, body, close_if_unwound::<J>)),
                     )?);
                 }
                 for (c, group) in consumers_of.into_iter().enumerate() {
                     let shared = Arc::clone(&shared);
                     let slot = plan.combiner_slot(c);
+                    let body = move |group: &mut Vec<_>, e: &Epoch<'_, J>, f: &JobFrame<J>| {
+                        let progress_slot = e.config.num_workers + c;
+                        combiner_loop(e, group, &f.combiner_cells[c], progress_slot).map(Some)
+                    };
+                    // Re-arm this combiner's read-ends before signalling
+                    // done. Safe with respect to *this* group's producers
+                    // (they have all finished: either the loop saw every
+                    // queue closed, or the drain unblocks them and waits for
+                    // the close); independent of the other combiners, whose
+                    // queues are disjoint.
+                    let rearm = |group: &mut Vec<PairConsumer<J>>, _| {
+                        group.iter_mut().for_each(drain_for_reuse)
+                    };
                     handles.push(spawn(
                         format!("ramr-combiner-{c}"),
-                        Box::new(move || static_combiner_worker(shared, group, c, slot)),
+                        Box::new(move || worker(shared, slot, group, body, rearm)),
                     )?);
                 }
             }
@@ -554,8 +576,7 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
 
         // --- Map-combine phase on the parked pools -----------------------
         let timer = PhaseTimer::start(PhaseKind::MapCombine);
-        let adaptive = config.adaptive;
-        let registry = if adaptive {
+        let adaptive = config.adaptive.then(|| {
             // Re-arm the read-ends reclaimed from the previous epoch. The
             // producers are quiescent (previous submit returned), so the
             // scrub-then-reopen is race-free; the epoch publication below
@@ -566,10 +587,13 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
                 while rx.pop_batch(1024, |_| {}) > 0 {}
                 rx.reopen();
             }
-            Some(QueueRegistry::new(held))
-        } else {
-            None
-        };
+            let ctl = match seed {
+                // Ratio carry-forward: start this epoch at the seeded split.
+                Some(s) => AdaptiveCtl::seeded(config.num_workers, s.batch_size, s.extra_combiners),
+                None => AdaptiveCtl::new(config.num_workers, config.batch_size),
+            };
+            Adaptive { registry: QueueRegistry::new(held), ctl }
+        });
 
         let mut frame = JobFrame {
             job: job as *const J,
@@ -586,17 +610,12 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
             errors: ErrorSlot::default(),
             map_cells: (0..config.num_workers).map(|_| Default::default()).collect(),
             combiner_cells: (0..config.num_combiners).map(|_| Default::default()).collect(),
-            flex_combine_cells: if adaptive {
+            flex_combine_cells: if config.adaptive {
                 (0..config.num_workers).map(|_| Default::default()).collect()
             } else {
                 Vec::new()
             },
-            registry,
-            ctl: adaptive.then(|| match seed {
-                // Ratio carry-forward: start this epoch at the seeded split.
-                Some(s) => AdaptiveCtl::seeded(config.num_workers, s.batch_size, s.extra_combiners),
-                None => AdaptiveCtl::new(config.num_workers, config.batch_size),
-            }),
+            adaptive,
             partials: Mutex::new(Vec::new()),
         };
 
@@ -624,15 +643,11 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
                 let done = &frame.watchdog_done;
                 scope.spawn(move || watchdog_loop(period, board, labels, cancel, done))
             });
-            if adaptive {
-                let bounds = AdaptiveBounds::from_config(config);
-                let registry = frame.registry.as_ref().expect("adaptive frame has a registry");
-                let ctl = frame.ctl.as_ref().expect("adaptive frame has a ctl");
+            if let Some(adaptive) = &frame.adaptive {
                 trace = controller_loop(
                     config,
-                    bounds,
-                    registry,
-                    ctl,
+                    AdaptiveBounds::from_config(config),
+                    adaptive,
                     &frame.map_cells,
                     &frame.flex_combine_cells,
                     &frame.combiner_cells,
@@ -651,9 +666,8 @@ impl<J: MapReduceJob + 'static> RamrSession<J> {
 
         // Reclaim the adaptive read-ends for the next epoch *before* any
         // error return — a failed job must leave the session usable.
-        if adaptive {
-            let registry = frame.registry.take().expect("registry taken only once");
-            self.consumers = registry.into_consumers();
+        if let Some(adaptive) = frame.adaptive.take() {
+            self.consumers = adaptive.registry.into_consumers();
             debug_assert_eq!(self.consumers.len(), config.num_workers);
         }
 
@@ -742,225 +756,77 @@ impl<J: MapReduceJob + 'static> Drop for RamrSession<J> {
 }
 
 // ---------------------------------------------------------------------------
-// The persistent worker bodies. Each is a thin epoch loop around a role
-// function from `runtime.rs`; the additions are (a) catch_unwind so a
-// panicking job cannot kill a pooled thread, (b) a `finish` on the
-// write-ends when (and only when) the role loop unwound before its own
-// close, so end-of-stream is still signalled, and (c) queue re-arming for
-// the next epoch.
+// The persistent worker: one epoch loop for all four roles. Each role plugs
+// in its body (a role loop from `runtime.rs`) and its end-of-epoch cleanup;
+// the loop adds pinning, parking between epochs, `catch_unwind` so a
+// panicking job cannot kill a pooled thread, result recording and the done
+// signal.
 // ---------------------------------------------------------------------------
 
-fn record_panic<J: MapReduceJob>(frame: &JobFrame<J>, panic: Box<dyn std::any::Any + Send>) {
-    frame.errors.record(RuntimeError::WorkerPanic(phases::panic_message(&*panic)));
-}
-
-fn push_partial<J: MapReduceJob>(frame: &JobFrame<J>, pairs: phases::HashedPairs<J>) {
-    relock(frame.partials.lock()).push(pairs);
-}
-
-fn static_mapper_worker<J: MapReduceJob>(
+/// A pooled worker's life: pin once, then run `body` over `state` once per
+/// epoch until the session shuts down. `end_epoch` runs after every body,
+/// told whether it unwound, before the result is recorded in the frame.
+fn worker<J: MapReduceJob, S>(
     shared: Arc<SessionShared<J>>,
-    mut tx: PairProducer<J>,
-    m: usize,
-    home_group: usize,
     slot: CpuSlot,
+    mut state: S,
+    body: impl Fn(
+        &mut S,
+        &Epoch<'_, J>,
+        &JobFrame<J>,
+    ) -> Result<Option<phases::HashedPairs<J>>, RuntimeError>,
+    end_epoch: impl Fn(&mut S, bool),
 ) {
-    maybe_pin(shared.config.pin_os_threads, slot);
-    let backoff = to_backoff(shared.config.push_backoff);
-    let emit_block = shared.config.effective_emit_buffer();
-    let hasher = shared.config.hasher;
-    let telemetry = shared.config.telemetry;
+    let config = &shared.config;
+    maybe_pin(config.pin_os_threads, slot);
     let mut last = 0u64;
     while let Some(ptr) = shared.next_epoch(&mut last) {
-        // SAFETY: `ptr` came from the epoch published for this iteration;
-        // the frame outlives it (see module docs).
-        let frame = unsafe { &*ptr.0 };
-        let (job, input) = unsafe { (frame.job(), frame.input()) };
+        // SAFETY: `ptr` is the frame of the epoch `next_epoch` just handed
+        // out. Its coordinator blocks in `submit` until this worker's
+        // `worker_done` below, so the frame, and the job and input it
+        // borrows, outlive every use in this iteration (see module docs).
+        let (frame, job, input) = unsafe {
+            let frame = &*ptr.0;
+            (frame, &*frame.job, std::slice::from_raw_parts(frame.input, frame.input_len))
+        };
         let ctx = FaultCtx::new(
-            &shared.config,
+            config,
             frame.retry_safe,
             &frame.fault_log,
             &frame.cancel,
             frame.board.as_ref(),
         );
+        let epoch = Epoch { job, input, config, queues: &frame.queues, ctx, errors: &frame.errors };
         let result = catch_unwind(AssertUnwindSafe(|| {
-            mapper_loop(
-                job,
-                input,
-                &frame.queues,
-                home_group,
-                &mut tx,
-                &backoff,
-                emit_block,
-                hasher,
-                &frame.map_cells[m],
-                telemetry,
-                &ctx,
-                m,
-            );
+            // Live on the watchdog's board until the body returns or unwinds.
+            let _live = LiveGuard::enter(frame.board.as_ref());
+            body(&mut state, &epoch, frame)
         }));
-        // `mapper_loop` closes the queue itself on its success path, so
-        // finish here only when the job unwound before reaching that close
-        // (closed+empty is the combiner's end-of-map signal, and a mapper
-        // that never closes would wedge it). A redundant second finish
-        // would race this mapper's combiner, which drains and *reopens*
-        // the queue before signalling done — re-closing the re-armed queue
-        // makes the next epoch's combiner exit early on the stale flag and
-        // silently discard pairs.
-        if result.is_err() {
-            tx.finish();
-        }
-        if let Err(panic) = result {
-            record_panic(frame, panic);
-        }
-        shared.worker_done();
-    }
-}
-
-fn static_combiner_worker<J: MapReduceJob>(
-    shared: Arc<SessionShared<J>>,
-    mut consumers: Vec<PairConsumer<J>>,
-    c: usize,
-    slot: CpuSlot,
-) {
-    maybe_pin(shared.config.pin_os_threads, slot);
-    let progress_slot = shared.config.num_workers + c;
-    let mut last = 0u64;
-    while let Some(ptr) = shared.next_epoch(&mut last) {
-        // SAFETY: as in `static_mapper_worker`.
-        let frame = unsafe { &*ptr.0 };
-        let job = unsafe { frame.job() };
-        let ctx = FaultCtx::new(
-            &shared.config,
-            frame.retry_safe,
-            &frame.fault_log,
-            &frame.cancel,
-            frame.board.as_ref(),
-        );
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            combiner_loop(
-                job,
-                &shared.config,
-                &mut consumers,
-                &frame.combiner_cells[c],
-                &ctx,
-                progress_slot,
-            )
-        }));
+        end_epoch(&mut state, result.is_err());
         match result {
-            Ok(Ok(pairs)) => push_partial(frame, pairs),
+            Ok(Ok(Some(pairs))) => relock(frame.partials.lock()).push(pairs),
+            Ok(Ok(None)) => {}
             Ok(Err(e)) => frame.errors.record(e),
-            Err(panic) => record_panic(frame, panic),
-        }
-        // Re-arm this combiner's read-ends before signalling done. Safe
-        // with respect to *this* group's producers (they have all finished:
-        // either the loop above saw every queue closed, or the drain below
-        // unblocks them and waits for the close); independent of the other
-        // combiners, whose queues are disjoint.
-        for rx in &mut consumers {
-            drain_for_reuse(rx);
-        }
-        shared.worker_done();
-    }
-}
-
-fn flex_worker<J: MapReduceJob>(
-    shared: Arc<SessionShared<J>>,
-    mut tx: PairProducer<J>,
-    m: usize,
-    home_group: usize,
-    slot: CpuSlot,
-) {
-    maybe_pin(shared.config.pin_os_threads, slot);
-    let backoff = to_backoff(shared.config.push_backoff);
-    let emit_block = shared.config.effective_emit_buffer();
-    let mut last = 0u64;
-    while let Some(ptr) = shared.next_epoch(&mut last) {
-        // SAFETY: as in `static_mapper_worker`.
-        let frame = unsafe { &*ptr.0 };
-        let (job, input) = unsafe { (frame.job(), frame.input()) };
-        let registry = frame.registry.as_ref().expect("adaptive frame has a registry");
-        let ctl = frame.ctl.as_ref().expect("adaptive frame has a ctl");
-        let ctx = FaultCtx::new(
-            &shared.config,
-            frame.retry_safe,
-            &frame.fault_log,
-            &frame.cancel,
-            frame.board.as_ref(),
-        );
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            flex_loop(
-                job,
-                input,
-                &shared.config,
-                &frame.queues,
-                home_group,
-                m,
-                &mut tx,
-                &backoff,
-                emit_block,
-                registry,
-                ctl,
-                &frame.errors,
-                &frame.map_cells[m],
-                &frame.flex_combine_cells[m],
-                &ctx,
-            )
-        }));
-        // As for static mappers: `flex_loop` closes the queue on its
-        // success path, so close here only on unwind — the remaining
-        // combining threads watch for the close to retire this pipeline.
-        // (A phase-B unwind lands here with the queue already closed;
-        // `finish` is idempotent and the coordinator reopens only after
-        // the epoch fully ends, so the repeat cannot race a reopen.)
-        match result {
-            Ok(pairs) => push_partial(frame, pairs),
             Err(panic) => {
-                tx.finish();
-                record_panic(frame, panic);
+                frame.errors.record(RuntimeError::WorkerPanic(phases::panic_message(&*panic)))
             }
         }
         shared.worker_done();
     }
 }
 
-fn dedicated_combiner_worker<J: MapReduceJob>(
-    shared: Arc<SessionShared<J>>,
-    c: usize,
-    slot: CpuSlot,
-) {
-    maybe_pin(shared.config.pin_os_threads, slot);
-    let progress_slot = shared.config.num_workers + c;
-    let mut last = 0u64;
-    while let Some(ptr) = shared.next_epoch(&mut last) {
-        // SAFETY: as in `static_mapper_worker`.
-        let frame = unsafe { &*ptr.0 };
-        let job = unsafe { frame.job() };
-        let registry = frame.registry.as_ref().expect("adaptive frame has a registry");
-        let ctl = frame.ctl.as_ref().expect("adaptive frame has a ctl");
-        let ctx = FaultCtx::new(
-            &shared.config,
-            frame.retry_safe,
-            &frame.fault_log,
-            &frame.cancel,
-            frame.board.as_ref(),
-        );
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            adaptive_combiner_loop(
-                job,
-                &shared.config,
-                registry,
-                ctl,
-                &frame.errors,
-                &frame.combiner_cells[c],
-                &ctx,
-                progress_slot,
-            )
-        }));
-        match result {
-            Ok(pairs) => push_partial(frame, pairs),
-            Err(panic) => record_panic(frame, panic),
-        }
-        shared.worker_done();
+/// End of epoch for a mapping role. Its loop closes the queue itself on
+/// the success path, so close here only when the body unwound before that
+/// close: closed+empty is the combining side's end-of-map signal, and a
+/// queue that never closes would wedge it. A redundant second `finish` on
+/// the static path would race this mapper's combiner, which drains and
+/// *reopens* the queue before signalling done — re-closing the re-armed
+/// queue makes the next epoch's combiner exit early on the stale flag and
+/// silently discard pairs. (A flex thread that unwinds in phase B lands
+/// here with its queue already closed; the repeat is harmless because the
+/// adaptive coordinator reopens only after the epoch fully ends.)
+fn close_if_unwound<J: MapReduceJob>(tx: &mut PairProducer<J>, unwound: bool) {
+    if unwound {
+        tx.finish();
     }
 }

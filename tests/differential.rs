@@ -41,15 +41,22 @@ type BothOutputs<J> = (
     JobOutput<<J as MapReduceJob>::Key, <J as MapReduceJob>::Value>,
 );
 
+/// Runs `job` on the Phoenix baseline and on both RAMR scheduling policies,
+/// pairing each RAMR output (static first, then adaptive) with Phoenix's.
 fn run_both<J: MapReduceJob + 'static>(
     job: &J,
     input: &[J::Input],
     config: RuntimeConfig,
-) -> BothOutputs<J> {
-    let ramr =
-        Backend::RamrStatic.engine(config.clone()).unwrap().submit(job, input).unwrap().output;
-    let phoenix = Backend::Phoenix.engine(config).unwrap().submit(job, input).unwrap().output;
-    (ramr, phoenix)
+) -> Vec<BothOutputs<J>> {
+    let phoenix =
+        Backend::Phoenix.engine(config.clone()).unwrap().submit(job, input).unwrap().output;
+    [Backend::RamrStatic, Backend::RamrAdaptive]
+        .into_iter()
+        .map(|backend| {
+            let ramr = backend.engine(config.clone()).unwrap().submit(job, input).unwrap().output;
+            (ramr, phoenix.clone())
+        })
+        .collect()
 }
 
 fn assert_float_close<K: MrKey>(a: &[(K, f64)], b: &[(K, f64)]) {
@@ -64,27 +71,30 @@ fn assert_float_close<K: MrKey>(a: &[(K, f64)], b: &[(K, f64)]) {
 #[test]
 fn word_count_agrees() {
     let input = wc_input(&spec(AppKind::WordCount), SCALE);
-    let (ramr, phoenix) = run_both(&WordCount, &input, config(AppKind::WordCount));
-    assert_eq!(ramr.pairs, phoenix.pairs);
-    assert!(!ramr.is_empty());
+    for (ramr, phoenix) in run_both(&WordCount, &input, config(AppKind::WordCount)) {
+        assert_eq!(ramr.pairs, phoenix.pairs);
+        assert!(!ramr.is_empty());
+    }
 }
 
 #[test]
 fn histogram_agrees_and_conserves_pixels() {
     let input = hg_input(&spec(AppKind::Histogram), SCALE);
-    let (ramr, phoenix) = run_both(&Histogram, &input, config(AppKind::Histogram));
-    assert_eq!(ramr.pairs, phoenix.pairs);
-    // Conservation: each channel's bins sum to the pixel count.
-    let red: u64 = ramr.iter().filter(|(k, _)| *k < 256).map(|(_, v)| v).sum();
-    assert_eq!(red, input.len() as u64);
+    for (ramr, phoenix) in run_both(&Histogram, &input, config(AppKind::Histogram)) {
+        assert_eq!(ramr.pairs, phoenix.pairs);
+        // Conservation: each channel's bins sum to the pixel count.
+        let red: u64 = ramr.iter().filter(|(k, _)| *k < 256).map(|(_, v)| v).sum();
+        assert_eq!(red, input.len() as u64);
+    }
 }
 
 #[test]
 fn linear_regression_agrees_exactly() {
     let input = lr_input(&spec(AppKind::LinearRegression), SCALE);
-    let (ramr, phoenix) = run_both(&LinearRegression, &input, config(AppKind::LinearRegression));
-    assert_eq!(ramr.pairs, phoenix.pairs);
-    assert_eq!(ramr.len(), 5, "exactly the five LR statistics");
+    for (ramr, phoenix) in run_both(&LinearRegression, &input, config(AppKind::LinearRegression)) {
+        assert_eq!(ramr.pairs, phoenix.pairs);
+        assert_eq!(ramr.len(), 5, "exactly the five LR statistics");
+    }
 }
 
 #[test]
@@ -92,14 +102,15 @@ fn kmeans_iteration_agrees_within_tolerance() {
     let input = km_input(&spec(AppKind::Kmeans), SCALE);
     let state = KmeansState::seeded(&input, 8);
     let job = state.job();
-    let (ramr, phoenix) = run_both(&job, &input, config(AppKind::Kmeans));
-    assert_eq!(ramr.len(), phoenix.len());
-    for ((ka, va), (kb, vb)) in ramr.iter().zip(phoenix.iter()) {
-        assert_eq!(ka, kb);
-        assert_eq!(va.count, vb.count, "cluster {ka} population differs");
-        for d in 0..mr_apps::DIM {
-            let scale = va.sum[d].abs().max(1.0);
-            assert!((va.sum[d] - vb.sum[d]).abs() / scale < 1e-9);
+    for (ramr, phoenix) in run_both(&job, &input, config(AppKind::Kmeans)) {
+        assert_eq!(ramr.len(), phoenix.len());
+        for ((ka, va), (kb, vb)) in ramr.iter().zip(phoenix.iter()) {
+            assert_eq!(ka, kb);
+            assert_eq!(va.count, vb.count, "cluster {ka} population differs");
+            for d in 0..mr_apps::DIM {
+                let scale = va.sum[d].abs().max(1.0);
+                assert!((va.sum[d] - vb.sum[d]).abs() / scale < 1e-9);
+            }
         }
     }
 }
@@ -110,14 +121,15 @@ fn matrix_multiply_agrees_and_matches_reference() {
     let (a, b) = (Arc::new(a), Arc::new(b));
     let job = MatrixMultiply::new(Arc::clone(&a), Arc::clone(&b), 8);
     let tasks = job.tasks();
-    let (ramr, phoenix) = run_both(&job, &tasks, config(AppKind::MatrixMultiply));
-    assert_eq!(ramr.pairs, phoenix.pairs);
     // Cross-check against the sequential reference product.
     let reference = a.multiply_reference(&b);
     let n = job.n();
-    for (key, value) in ramr.iter() {
-        let (i, j) = ((*key as usize) / n, (*key as usize) % n);
-        assert_eq!(*value, reference.at(i, j), "C[{i}][{j}]");
+    for (ramr, phoenix) in run_both(&job, &tasks, config(AppKind::MatrixMultiply)) {
+        assert_eq!(ramr.pairs, phoenix.pairs);
+        for (key, value) in ramr.iter() {
+            let (i, j) = ((*key as usize) / n, (*key as usize) % n);
+            assert_eq!(*value, reference.at(i, j), "C[{i}][{j}]");
+        }
     }
 }
 
@@ -126,23 +138,25 @@ fn pca_two_stage_agrees_within_tolerance() {
     let matrix = Arc::new(pca_matrix(&spec(AppKind::Pca), 200_000));
     let mean_job = PcaMeanJob::new(Arc::clone(&matrix));
     let tasks = mean_job.tasks();
-    let (ramr_means, phoenix_means) = run_both(&mean_job, &tasks, config(AppKind::Pca));
-    assert_eq!(ramr_means.pairs, phoenix_means.pairs, "means are exact integer sums");
+    for (ramr_means, phoenix_means) in run_both(&mean_job, &tasks, config(AppKind::Pca)) {
+        assert_eq!(ramr_means.pairs, phoenix_means.pairs, "means are exact integer sums");
 
-    let means = Arc::new(mean_job.means(&ramr_means.pairs));
-    let cov_job = PcaCovJob::new(Arc::clone(&matrix), means);
-    let tasks = cov_job.tasks();
-    let (ramr_cov, phoenix_cov) = run_both(&cov_job, &tasks, config(AppKind::Pca));
-    assert_float_close(&ramr_cov.pairs, &phoenix_cov.pairs);
-    // Diagonal entries are variances: non-negative.
-    let n = matrix.n();
-    for (key, value) in ramr_cov.iter() {
-        let (i, j) = cov_job.unflatten(*key);
-        if i == j {
-            assert!(*value >= -1e-9, "variance of row {i} must be non-negative");
+        let means = Arc::new(mean_job.means(&ramr_means.pairs));
+        let cov_job = PcaCovJob::new(Arc::clone(&matrix), means);
+        let tasks = cov_job.tasks();
+        for (ramr_cov, phoenix_cov) in run_both(&cov_job, &tasks, config(AppKind::Pca)) {
+            assert_float_close(&ramr_cov.pairs, &phoenix_cov.pairs);
+            // Diagonal entries are variances: non-negative.
+            let n = matrix.n();
+            for (key, value) in ramr_cov.iter() {
+                let (i, j) = cov_job.unflatten(*key);
+                if i == j {
+                    assert!(*value >= -1e-9, "variance of row {i} must be non-negative");
+                }
+                assert!(j >= i, "only the upper triangle is emitted");
+                let _ = n;
+            }
         }
-        assert!(j >= i, "only the upper triangle is emitted");
-        let _ = n;
     }
 }
 
@@ -165,9 +179,10 @@ fn emit_buffer_sweep_agrees_with_baseline_and_element_wise() {
     for emit in [1, 2, base.batch_size, base.queue_capacity] {
         let mut cfg = base.clone();
         cfg.emit_buffer_size = Some(emit);
-        let (ramr, phoenix) = run_both(&WordCount, &input, cfg);
-        assert_eq!(ramr.pairs, phoenix.pairs, "emit_buffer_size={emit} vs phoenix");
-        assert_eq!(ramr.pairs, element_wise.pairs, "emit_buffer_size={emit} vs element-wise");
+        for (ramr, phoenix) in run_both(&WordCount, &input, cfg) {
+            assert_eq!(ramr.pairs, phoenix.pairs, "emit_buffer_size={emit} vs phoenix");
+            assert_eq!(ramr.pairs, element_wise.pairs, "emit_buffer_size={emit} vs element-wise");
+        }
     }
 }
 
@@ -287,6 +302,7 @@ fn stressed_containers_agree_too() {
     let mut cfg = config(AppKind::Histogram);
     cfg.container = AppKind::Histogram.stressed_container();
     cfg.fixed_capacity = Some(768);
-    let (ramr, phoenix) = run_both(&Histogram, &input, cfg);
-    assert_eq!(ramr.pairs, phoenix.pairs);
+    for (ramr, phoenix) in run_both(&Histogram, &input, cfg) {
+        assert_eq!(ramr.pairs, phoenix.pairs);
+    }
 }

@@ -4,6 +4,9 @@
 use mr_core::{ContainerKind, Emitter, MapReduceJob, RuntimeConfig};
 use ramr::{Backend, Engine};
 
+/// Both RAMR scheduling policies: every stress scenario runs on each.
+const RAMR_BACKENDS: [Backend; 2] = [Backend::RamrStatic, Backend::RamrAdaptive];
+
 /// Emits FAN pairs per element to stress the queues.
 struct FanOut;
 
@@ -58,9 +61,11 @@ fn single_slot_queues_do_not_deadlock() {
         .batch_size(1)
         .build()
         .unwrap();
-    let out = Backend::RamrStatic.engine(cfg).unwrap().submit(&FanOut, &input).unwrap().output;
-    assert_eq!(out.pairs, reference(&input));
-    assert!(out.stats.queue_full_events > 0);
+    for backend in RAMR_BACKENDS {
+        let out = backend.engine(cfg.clone()).unwrap().submit(&FanOut, &input).unwrap().output;
+        assert_eq!(out.pairs, reference(&input), "{backend}");
+        assert!(out.stats.queue_full_events > 0, "{backend}");
+    }
 }
 
 #[test]
@@ -75,8 +80,10 @@ fn oversubscribed_pools_terminate() {
         .batch_size(16)
         .build()
         .unwrap();
-    let out = Backend::RamrStatic.engine(cfg).unwrap().submit(&FanOut, &input).unwrap().output;
-    assert_eq!(out.pairs, reference(&input));
+    for backend in RAMR_BACKENDS {
+        let out = backend.engine(cfg.clone()).unwrap().submit(&FanOut, &input).unwrap().output;
+        assert_eq!(out.pairs, reference(&input), "{backend}");
+    }
 }
 
 #[test]
@@ -90,9 +97,11 @@ fn sustained_pressure_with_heavy_fanout() {
         .batch_size(50)
         .build()
         .unwrap();
-    let out = Backend::RamrStatic.engine(cfg).unwrap().submit(&FanOut, &input).unwrap().output;
-    assert_eq!(out.stats.emitted, input.len() as u64 * FAN);
-    assert_eq!(out.pairs, reference(&input));
+    for backend in RAMR_BACKENDS {
+        let out = backend.engine(cfg.clone()).unwrap().submit(&FanOut, &input).unwrap().output;
+        assert_eq!(out.stats.emitted, input.len() as u64 * FAN, "{backend}");
+        assert_eq!(out.pairs, reference(&input), "{backend}");
+    }
 }
 
 #[test]
@@ -108,10 +117,12 @@ fn repeated_invocations_are_stable() {
         .batch_size(8)
         .build()
         .unwrap();
-    let engine = Backend::RamrStatic.engine(cfg).unwrap();
-    for round in 0..20 {
-        let out = engine.submit(&FanOut, &input).unwrap().output;
-        assert_eq!(out.pairs, expected, "round {round}");
+    for backend in RAMR_BACKENDS {
+        let engine = backend.engine(cfg.clone()).unwrap();
+        for round in 0..20 {
+            let out = engine.submit(&FanOut, &input).unwrap().output;
+            assert_eq!(out.pairs, expected, "{backend} round {round}");
+        }
     }
 }
 
@@ -127,16 +138,13 @@ fn both_runtimes_survive_empty_and_tiny_inputs() {
         .unwrap();
     for n in [0usize, 1, 2, 3, 7] {
         let input: Vec<u64> = (0..n as u64).collect();
-        let r = Backend::RamrStatic
-            .engine(cfg.clone())
-            .unwrap()
-            .submit(&FanOut, &input)
-            .unwrap()
-            .output;
         let p =
             Backend::Phoenix.engine(cfg.clone()).unwrap().submit(&FanOut, &input).unwrap().output;
-        assert_eq!(r.pairs, p.pairs, "n={n}");
-        assert_eq!(r.pairs, reference(&input));
+        for backend in RAMR_BACKENDS {
+            let r = backend.engine(cfg.clone()).unwrap().submit(&FanOut, &input).unwrap().output;
+            assert_eq!(r.pairs, p.pairs, "{backend} n={n}");
+            assert_eq!(r.pairs, reference(&input), "{backend} n={n}");
+        }
     }
 }
 
@@ -175,11 +183,13 @@ fn combine_panic_does_not_hang_the_pipeline() {
         .build()
         .unwrap();
     // Must terminate (no deadlock on full queues) and surface the panic.
-    let err = Backend::RamrStatic.engine(cfg).unwrap().submit(&PanickyCombine, &input).unwrap_err();
-    assert!(
-        matches!(err, mr_core::RuntimeError::WorkerPanic(ref m) if m.contains("combine exploded")),
-        "got {err:?}"
-    );
+    for backend in RAMR_BACKENDS {
+        let err = backend.engine(cfg.clone()).unwrap().submit(&PanickyCombine, &input).unwrap_err();
+        assert!(
+            matches!(err, mr_core::RuntimeError::WorkerPanic(ref m) if m.contains("combine exploded")),
+            "{backend}: got {err:?}"
+        );
+    }
 }
 
 /// Regression guard for the combiner's discard-drain error path: a mapper
@@ -234,23 +244,26 @@ fn dual_panic_with_full_busywait_queues_terminates() {
         .push_backoff(mr_core::PushBackoff::BusyWait)
         .build()
         .unwrap();
-    // Run under a hard timeout: a deadlock here would otherwise hang the
-    // whole suite, which is exactly the regression this test guards.
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let result =
-            Backend::RamrStatic.engine(cfg).unwrap().submit(&DualFailure, &input).map(|o| o.output);
-        let _ = tx.send(result);
-    });
-    let result = rx
-        .recv_timeout(std::time::Duration::from_secs(60))
-        .expect("dual-panic run deadlocked: no result within 60s");
-    let err = result.unwrap_err();
-    assert!(
-        matches!(err, mr_core::RuntimeError::WorkerPanic(ref m)
-            if m.contains("mapper exploded") || m.contains("combine exploded")),
-        "got {err:?}"
-    );
+    for backend in RAMR_BACKENDS {
+        // Run under a hard timeout: a deadlock here would otherwise hang the
+        // whole suite, which is exactly the regression this test guards.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (cfg, input) = (cfg.clone(), input.clone());
+        std::thread::spawn(move || {
+            let result =
+                backend.engine(cfg).unwrap().submit(&DualFailure, &input).map(|o| o.output);
+            let _ = tx.send(result);
+        });
+        let result = rx.recv_timeout(std::time::Duration::from_secs(60)).unwrap_or_else(|_| {
+            panic!("{backend}: dual-panic run deadlocked: no result within 60s")
+        });
+        let err = result.unwrap_err();
+        assert!(
+            matches!(err, mr_core::RuntimeError::WorkerPanic(ref m)
+                if m.contains("mapper exploded") || m.contains("combine exploded")),
+            "{backend}: got {err:?}"
+        );
+    }
 }
 
 #[test]
@@ -279,7 +292,9 @@ fn hash_container_stress_with_many_keys() {
         .container(ContainerKind::Hash)
         .build()
         .unwrap();
-    let out = Backend::RamrStatic.engine(cfg).unwrap().submit(&WideKeys, &input).unwrap().output;
-    assert_eq!(out.len(), 200_000, "all keys distinct");
-    assert!(out.iter().all(|(_, v)| *v == 1));
+    for backend in RAMR_BACKENDS {
+        let out = backend.engine(cfg.clone()).unwrap().submit(&WideKeys, &input).unwrap().output;
+        assert_eq!(out.len(), 200_000, "{backend}: all keys distinct");
+        assert!(out.iter().all(|(_, v)| *v == 1), "{backend}");
+    }
 }
