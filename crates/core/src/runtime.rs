@@ -599,14 +599,18 @@ enum Round {
 
 /// One idle-round wait, derived from the configured producer-side backoff
 /// so both ends of each pipeline degrade symmetrically: spin briefly after
-/// the last progress (data may be one block away), then sleep instead of
-/// burning the core a co-located mapper may need. `BusyWait` spins and
-/// yields periodically so a co-scheduled mapper can actually fill the
-/// queue — mirroring the producer-side BUSY_WAIT_YIELD_EVERY escape hatch.
-fn idle_wait(backoff: PushBackoff, idle_rounds: u32) {
+/// the last progress (data may be one block away), then park instead of
+/// burning the core a co-located mapper may need. The park ends when a
+/// queue this thread announced itself on ([`Combining::watch`]) receives a
+/// full batch or closes, and at the latest after the backoff's `sleep`; a
+/// `ready` queue, one that filled between the read and the announcement,
+/// skips it. `BusyWait` spins and yields periodically so a co-scheduled
+/// mapper can actually fill the queue — mirroring the producer-side
+/// BUSY_WAIT_YIELD_EVERY escape hatch.
+fn idle_wait(backoff: PushBackoff, idle_rounds: u32, ready: bool) {
     match backoff {
-        PushBackoff::SpinThenSleep { spins, sleep } if idle_rounds > spins => {
-            std::thread::sleep(sleep)
+        PushBackoff::SpinThenSleep { spins, sleep } if idle_rounds > spins && !ready => {
+            std::thread::park_timeout(sleep)
         }
         PushBackoff::BusyWait if idle_rounds.is_multiple_of(64) => std::thread::yield_now(),
         _ => std::hint::spin_loop(),
@@ -630,6 +634,9 @@ struct Combining<'a, J: MapReduceJob> {
     wall_start: Option<Instant>,
     local: LocalTelemetry,
     idle_rounds: u32,
+    /// A queue [`watch`](Self::watch)ed this round already holds what the
+    /// announcement asked for, so the round's idle wait must not park.
+    ready: bool,
     cell: &'a TelemetryCell,
     /// Publish into `cell` every [`LIVE_PUBLISH_ROUNDS`] rounds, with `wall`
     /// refreshed so the controller's windows see current totals, rather
@@ -650,6 +657,7 @@ impl<'a, J: MapReduceJob> Combining<'a, J> {
             wall_start: config.telemetry.then(Instant::now),
             local: LocalTelemetry::default(),
             idle_rounds: 0,
+            ready: false,
             cell,
             live,
             rounds_since_publish: 0,
@@ -670,8 +678,9 @@ impl<'a, J: MapReduceJob> Combining<'a, J> {
     }
 
     /// One [`batched_read`] from `rx` into the container, or in discard
-    /// mode. Returns the elements consumed, whether `rx` is now closed and
-    /// drained, and the read's error, if any.
+    /// mode. An idle read of a queue that is still open
+    /// [`watch`](Self::watch)es it. Returns the elements consumed, whether
+    /// `rx` is now closed and drained, and the read's error, if any.
     fn read(
         &mut self,
         rx: &mut PairConsumer<J>,
@@ -690,7 +699,27 @@ impl<'a, J: MapReduceJob> Combining<'a, J> {
                 self.local.occupancy.record(consumed, batch);
             }
         }
-        (consumed, closed && rx.is_empty(), error)
+        let drained = closed && rx.is_empty();
+        if consumed == 0 && !drained {
+            self.watch(rx, batch);
+        }
+        (consumed, drained, error)
+    }
+
+    /// Announces this thread as the waiter on `rx`, which an idle read just
+    /// left short of a full batch, so the producer's next full batch or its
+    /// close ends this round's park. The adaptive round reads before its
+    /// check-in, so the announcement is made while the thread still holds
+    /// the consumer. Only rounds that will park announce; spinning rounds
+    /// stay free of the announcement's lock and fence.
+    fn watch(&mut self, rx: &mut PairConsumer<J>, batch: usize) {
+        let parks = match self.epoch.config.push_backoff {
+            PushBackoff::SpinThenSleep { spins, .. } => self.idle_rounds >= spins,
+            PushBackoff::BusyWait => false,
+        };
+        if parks && rx.announce_wait(batch) {
+            self.ready = true;
+        }
     }
 
     fn round_start(&self) -> Option<Instant> {
@@ -700,6 +729,7 @@ impl<'a, J: MapReduceJob> Combining<'a, J> {
     /// Accounts one round begun at `round_start` — backing off first when
     /// it was idle — and returns whether combining goes on.
     fn end_round(&mut self, round: Round, round_start: Option<Instant>) -> bool {
+        let ready = std::mem::take(&mut self.ready);
         let progressed = match round {
             Round::Done => return false,
             Round::Progress => {
@@ -709,7 +739,7 @@ impl<'a, J: MapReduceJob> Combining<'a, J> {
             Round::Idle => {
                 self.local.stall_events += 1;
                 self.idle_rounds = self.idle_rounds.saturating_add(1);
-                idle_wait(self.epoch.config.push_backoff, self.idle_rounds);
+                idle_wait(self.epoch.config.push_backoff, self.idle_rounds, ready);
                 false
             }
         };

@@ -111,9 +111,10 @@ pub enum PushBackoff {
     BusyWait,
     /// Spin `spins` times, then park for `sleep` until space frees up.
     SpinThenSleep {
-        /// Spin iterations before the first sleep.
+        /// Spin iterations before the first park.
         spins: u32,
-        /// Sleep duration between retries once spinning is exhausted.
+        /// Longest park between retries once spinning is exhausted; the
+        /// combiner's next batched read unparks the mapper sooner.
         sleep: Duration,
     },
 }
@@ -911,7 +912,7 @@ pub const ENV_KNOBS: &[EnvKnob] = &[
         env: "RAMR_PUSH_SPINS",
         cli: "push-spins",
         value: "N",
-        help: "spins before a mapper sleeps on a full queue",
+        help: "spins before a mapper parks on a full queue",
         apply: |mut b, raw, src| {
             let (_, sleep) = spin_sleep_halves(b.config.push_backoff);
             b.config.push_backoff = PushBackoff::SpinThenSleep { spins: knob(raw, src)?, sleep };
@@ -922,7 +923,7 @@ pub const ENV_KNOBS: &[EnvKnob] = &[
         env: "RAMR_PUSH_SLEEP_US",
         cli: "push-sleep-us",
         value: "US",
-        help: "sleep between full-queue retries, in microseconds",
+        help: "longest park between full-queue retries, in microseconds",
         apply: |mut b, raw, src| {
             let (spins, _) = spin_sleep_halves(b.config.push_backoff);
             b.config.push_backoff =

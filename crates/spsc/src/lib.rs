@@ -8,9 +8,13 @@
 //!
 //! * **Sleep on failed push** — pushes must always succeed eventually
 //!   (dropping or overwriting elements would violate correctness), so a
-//!   producer facing a full queue spins briefly and then sleeps instead of
+//!   producer facing a full queue spins briefly and then stops
 //!   busy-waiting, freeing core resources for the co-located combiner
-//!   ([`Producer::push_with_backoff`]).
+//!   ([`Producer::push_with_backoff`]). Where the paper sleeps for a fixed
+//!   time, the producer here *parks* and the consumer unparks it as soon as
+//!   it frees space; the sleep length is only the park's upper bound. The
+//!   consumer can wait the same way ([`Consumer::announce_wait`]), woken by
+//!   the producer's next publish or close.
 //! * **Batched reads** — the consumer drains runs of contiguous elements
 //!   with a single control-variable update, reducing producer/consumer
 //!   congestion on the shared indices and favouring spatial locality
@@ -49,8 +53,9 @@
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::Thread;
 use std::time::Duration;
 
 use crossbeam::utils::CachePadded;
@@ -69,11 +74,14 @@ pub enum BackoffPolicy {
     /// timeslice while the only thread that could free space waits for a
     /// core, turning back-pressure into minutes-long livelock.
     BusyWait,
-    /// Spin `spins` times, then sleep `sleep` between further attempts.
+    /// Spin `spins` times, then park between further attempts until the
+    /// consumer frees space, for at most `sleep` per park.
     SpinThenSleep {
-        /// Spin iterations before the first sleep.
+        /// Spin iterations before the first park.
         spins: u32,
-        /// Sleep duration once spinning is exhausted.
+        /// Longest park before a re-check once spinning is exhausted. The
+        /// consumer's next head publish ends the park early, so this bounds
+        /// the cost of a lost wake-up rather than setting the wait.
         sleep: Duration,
     },
 }
@@ -101,6 +109,74 @@ fn busy_wait_step(failures: u64) {
     }
 }
 
+/// One end's parking slot: the thread the other end unparks, whether it is
+/// parked, and the other end's index at which a wake-up becomes useful.
+///
+/// The waiter raises `parked`, issues a SeqCst fence and only then re-checks
+/// the queue; the other end publishes its index, issues a SeqCst fence and
+/// only then reads `parked`. The two fences order those accesses, so either
+/// the waiter's re-check sees the publish or the publisher sees the flag: a
+/// wake-up is never lost. It can be misdelivered to a thread that announced
+/// earlier on the same handle, which is why every park is bounded.
+struct Waiter {
+    parked: AtomicBool,
+    /// The publisher's index (`tail` for a waiting consumer, `head` for a
+    /// waiting producer) from which waking the waiter is worth a syscall.
+    until: AtomicUsize,
+    thread: Mutex<Option<Thread>>,
+}
+
+impl Waiter {
+    fn new() -> Self {
+        Self {
+            parked: AtomicBool::new(false),
+            until: AtomicUsize::new(0),
+            thread: Mutex::new(None),
+        }
+    }
+
+    /// Registers the calling thread as the waiter until the other end's
+    /// index reaches `until`. The caller re-checks the queue *after* this
+    /// and parks only if it still has to wait.
+    fn announce(&self, until: usize) {
+        {
+            let mut slot = self.thread.lock().unwrap_or_else(PoisonError::into_inner);
+            let me = std::thread::current();
+            if slot.as_ref().map(Thread::id) != Some(me.id()) {
+                *slot = Some(me);
+            }
+        }
+        self.until.store(until, Ordering::Relaxed);
+        self.parked.store(true, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+    }
+
+    fn withdraw(&self) {
+        self.parked.store(false, Ordering::Relaxed);
+    }
+
+    /// Called by the other end right after it published its index as
+    /// `published`: one fence and one relaxed load when nobody waits.
+    #[inline]
+    fn notify(&self, published: usize) {
+        fence(Ordering::SeqCst);
+        if self.parked.load(Ordering::Relaxed) {
+            self.wake(published);
+        }
+    }
+
+    #[cold]
+    fn wake(&self, published: usize) {
+        if published >= self.until.load(Ordering::Relaxed)
+            && self.parked.swap(false, Ordering::Relaxed)
+        {
+            if let Some(thread) = &*self.thread.lock().unwrap_or_else(PoisonError::into_inner) {
+                thread.unpark();
+            }
+        }
+    }
+}
+
 struct Inner<T> {
     buf: Box<[UnsafeCell<MaybeUninit<T>>]>,
     /// Monotonic count of elements ever popped. Slot = index % capacity.
@@ -110,6 +186,11 @@ struct Inner<T> {
     /// Set when the producer is dropped; lets the consumer distinguish
     /// "empty for now" from "empty forever".
     closed: AtomicBool,
+    /// A producer parked on a full queue, woken by head publishes.
+    producer_waiter: CachePadded<Waiter>,
+    /// A consumer parked on an empty queue, woken by tail publishes and
+    /// by the close.
+    consumer_waiter: CachePadded<Waiter>,
 }
 
 // SAFETY: `Inner` is shared between exactly one producer and one consumer
@@ -119,6 +200,14 @@ struct Inner<T> {
 // those accesses. `T: Send` is required because values cross threads.
 unsafe impl<T: Send> Send for Inner<T> {}
 unsafe impl<T: Send> Sync for Inner<T> {}
+
+impl<T> Inner<T> {
+    /// Marks the queue closed and wakes a consumer waiting on it.
+    fn close(&self) {
+        self.closed.store(true, Ordering::Release);
+        self.consumer_waiter.notify(usize::MAX);
+    }
+}
 
 impl<T> Drop for Inner<T> {
     fn drop(&mut self) {
@@ -169,6 +258,8 @@ impl<T: Send> SpscQueue<T> {
                 head: CachePadded::new(AtomicUsize::new(0)),
                 tail: CachePadded::new(AtomicUsize::new(0)),
                 closed: AtomicBool::new(false),
+                producer_waiter: CachePadded::new(Waiter::new()),
+                consumer_waiter: CachePadded::new(Waiter::new()),
             }),
         }
     }
@@ -218,6 +309,7 @@ impl<T: Send> Producer<T> {
         // not touch it until we publish the new tail below.
         unsafe { (*slot.get()).write(value) };
         inner.tail.store(tail + 1, Ordering::Release);
+        inner.consumer_waiter.notify(tail + 1);
         Ok(())
     }
 
@@ -227,31 +319,12 @@ impl<T: Send> Producer<T> {
     /// `queue_full_events` statistic reported by the RAMR runtime.
     pub fn push_with_backoff(&mut self, value: T, policy: &BackoffPolicy) -> u64 {
         let mut value = value;
-        let mut failures = 0u64;
-        let mut spins_left = match policy {
-            BackoffPolicy::BusyWait => u32::MAX,
-            BackoffPolicy::SpinThenSleep { spins, .. } => *spins,
-        };
-        loop {
-            match self.try_push(value) {
-                Ok(()) => return failures,
-                Err(v) => {
-                    value = v;
-                    failures += 1;
-                    match policy {
-                        BackoffPolicy::BusyWait => busy_wait_step(failures),
-                        BackoffPolicy::SpinThenSleep { sleep, .. } => {
-                            if spins_left > 0 {
-                                spins_left -= 1;
-                                std::hint::spin_loop();
-                            } else {
-                                std::thread::sleep(*sleep);
-                            }
-                        }
-                    }
-                }
-            }
+        let mut backoff = Backoff::new(policy);
+        while let Err(v) = self.try_push(value) {
+            value = v;
+            backoff.failed(self);
         }
+        backoff.failures
     }
 
     /// Pushes as many elements from `batch` as fit, with a **single** tail
@@ -280,6 +353,7 @@ impl<T: Send> Producer<T> {
         }
         if written > 0 {
             inner.tail.store(tail + written, Ordering::Release);
+            inner.consumer_waiter.notify(tail + written);
         }
         written
     }
@@ -313,6 +387,7 @@ impl<T: Send> Producer<T> {
             unsafe { (*slot.get()).write(value) };
         }
         inner.tail.store(tail + take, Ordering::Release);
+        inner.consumer_waiter.notify(tail + take);
         take
     }
 
@@ -324,33 +399,9 @@ impl<T: Send> Producer<T> {
     /// Returns the number of failed (zero-progress) attempts — the
     /// `queue_full_events` statistic reported by the RAMR runtime. The spin
     /// allowance resets after every block that makes progress, so only
-    /// sustained back-pressure degrades to sleeping.
+    /// sustained back-pressure degrades to parking.
     pub fn push_batch_with_backoff(&mut self, buf: &mut Vec<T>, policy: &BackoffPolicy) -> u64 {
-        let fresh_spins = match policy {
-            BackoffPolicy::BusyWait => u32::MAX,
-            BackoffPolicy::SpinThenSleep { spins, .. } => *spins,
-        };
-        let mut failures = 0u64;
-        let mut spins_left = fresh_spins;
-        while !buf.is_empty() {
-            if self.push_batch_drain(buf) > 0 {
-                spins_left = fresh_spins;
-                continue;
-            }
-            failures += 1;
-            match policy {
-                BackoffPolicy::BusyWait => busy_wait_step(failures),
-                BackoffPolicy::SpinThenSleep { sleep, .. } => {
-                    if spins_left > 0 {
-                        spins_left -= 1;
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::sleep(*sleep);
-                    }
-                }
-            }
-        }
-        failures
+        self.push_batch_with_backoff_or_cancel(buf, policy, &AtomicBool::new(false))
     }
 
     /// Cancellation-aware variant of
@@ -362,7 +413,8 @@ impl<T: Send> Producer<T> {
     /// This is what lets a supervisor (the runtime's stall watchdog)
     /// unwedge a mapper that is blocked on a queue whose combiner will
     /// never drain it: without a cancellation point, the producer would
-    /// sleep-retry forever and the run could not be torn down.
+    /// park and retry forever and the run could not be torn down. A parked
+    /// producer sees the flag within one park bound.
     ///
     /// Returns the number of failed (zero-progress) attempts, exactly like
     /// the unconditional variant.
@@ -372,36 +424,31 @@ impl<T: Send> Producer<T> {
         policy: &BackoffPolicy,
         cancel: &AtomicBool,
     ) -> u64 {
-        let fresh_spins = match policy {
-            BackoffPolicy::BusyWait => u32::MAX,
-            BackoffPolicy::SpinThenSleep { spins, .. } => *spins,
-        };
-        let mut failures = 0u64;
-        let mut spins_left = fresh_spins;
+        let mut backoff = Backoff::new(policy);
         while !buf.is_empty() {
             if self.push_batch_drain(buf) > 0 {
-                spins_left = fresh_spins;
+                backoff.progressed();
                 continue;
             }
-            // Checked only on the failure path: an uncontended push stays
-            // exactly as cheap as the unconditional variant.
+            // Checked only on the failure path: an uncontended push pays
+            // nothing for it.
             if cancel.load(Ordering::Relaxed) {
                 break;
             }
-            failures += 1;
-            match policy {
-                BackoffPolicy::BusyWait => busy_wait_step(failures),
-                BackoffPolicy::SpinThenSleep { sleep, .. } => {
-                    if spins_left > 0 {
-                        spins_left -= 1;
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::sleep(*sleep);
-                    }
-                }
-            }
+            backoff.failed(self);
         }
-        failures
+        backoff.failures
+    }
+
+    /// Parks until the consumer frees a slot, for at most `bound`: announces
+    /// this thread as the producer's waiter, re-checks for space and parks
+    /// only if there is still none.
+    fn park_for_space(&mut self, bound: Duration) {
+        self.inner.producer_waiter.announce(0);
+        if self.free_run(1).1 == 0 {
+            std::thread::park_timeout(bound);
+        }
+        self.inner.producer_waiter.withdraw();
     }
 
     /// Monotonic count of elements ever published to the queue — the
@@ -421,7 +468,7 @@ impl<T: Send> Producer<T> {
     /// Idempotent; elements must not be pushed again until the queue has
     /// been reopened.
     pub fn finish(&mut self) {
-        self.inner.closed.store(true, Ordering::Release);
+        self.inner.close();
     }
 
     /// Whether this producer has marked the queue closed (via
@@ -466,7 +513,45 @@ impl<T: Send> Producer<T> {
 
 impl<T> Drop for Producer<T> {
     fn drop(&mut self) {
-        self.inner.closed.store(true, Ordering::Release);
+        self.inner.close();
+    }
+}
+
+/// The backoff state of one blocking push, shared by every blocking
+/// variant: what the producer does after each failed attempt.
+struct Backoff<'p> {
+    policy: &'p BackoffPolicy,
+    spins_left: u32,
+    /// Failed (zero-progress) attempts so far.
+    failures: u64,
+}
+
+impl<'p> Backoff<'p> {
+    fn new(policy: &'p BackoffPolicy) -> Self {
+        let mut backoff = Self { policy, spins_left: 0, failures: 0 };
+        backoff.progressed();
+        backoff
+    }
+
+    /// A push made progress: the spin allowance starts over.
+    fn progressed(&mut self) {
+        if let BackoffPolicy::SpinThenSleep { spins, .. } = *self.policy {
+            self.spins_left = spins;
+        }
+    }
+
+    /// One failed attempt: spin while the allowance lasts, then park on
+    /// `tx` until the consumer frees space, for at most the policy's sleep.
+    fn failed<T: Send>(&mut self, tx: &mut Producer<T>) {
+        self.failures += 1;
+        match *self.policy {
+            BackoffPolicy::BusyWait => busy_wait_step(self.failures),
+            BackoffPolicy::SpinThenSleep { .. } if self.spins_left > 0 => {
+                self.spins_left -= 1;
+                std::hint::spin_loop();
+            }
+            BackoffPolicy::SpinThenSleep { sleep, .. } => tx.park_for_space(sleep),
+        }
     }
 }
 
@@ -497,6 +582,7 @@ impl<T: Send> Consumer<T> {
         // producer and published by its release store to `tail`.
         let value = unsafe { (*slot.get()).assume_init_read() };
         inner.head.store(head + 1, Ordering::Release);
+        inner.producer_waiter.notify(head + 1);
         Some(value)
     }
 
@@ -534,19 +620,23 @@ impl<T: Send> Consumer<T> {
 
         /// Publishes the consumed prefix on both the normal and the unwind
         /// path: `read` is bumped *before* each `f` call, and the single
-        /// release store happens in `Drop`.
+        /// release store (and the wake of a parked producer) happens in
+        /// `Drop`.
         struct PopGuard<'a> {
             head: &'a AtomicUsize,
+            waiter: &'a Waiter,
             base: usize,
             read: usize,
         }
         impl Drop for PopGuard<'_> {
             fn drop(&mut self) {
                 self.head.store(self.base + self.read, Ordering::Release);
+                self.waiter.notify(self.base + self.read);
             }
         }
 
-        let mut guard = PopGuard { head: &inner.head, base: head, read: 0 };
+        let mut guard =
+            PopGuard { head: &inner.head, waiter: &inner.producer_waiter, base: head, read: 0 };
         for i in 0..take {
             let slot = &inner.buf[(head + i) % cap];
             // SAFETY: slots head..head+take are all initialized (published
@@ -578,6 +668,31 @@ impl<T: Send> Consumer<T> {
         let consumed = self.pop_batch(max, f);
         debug_assert_eq!(consumed, max);
         true
+    }
+
+    /// Announces the calling thread as this queue's waiter until at least
+    /// `min` elements are buffered or the producer closes the queue, and
+    /// reports whether that already holds.
+    ///
+    /// `false` means the caller may park ([`std::thread::park_timeout`]):
+    /// the producer unparks it once a publish brings the buffered count to
+    /// `min` (capped at the capacity), or when it closes the queue. `true`
+    /// means there is nothing to wait for, and the announcement is
+    /// withdrawn. Bound the park anyway: the announcement names one thread,
+    /// so a consumer handed to another thread before the wake leaves the
+    /// first one to its timeout. An announcement outlived by a timed-out
+    /// park costs the producer at most one spurious unpark.
+    pub fn announce_wait(&mut self, min: usize) -> bool {
+        let inner = &*self.inner;
+        let head = inner.head.load(Ordering::Relaxed);
+        let min = min.min(inner.buf.len());
+        inner.consumer_waiter.announce(head + min);
+        self.cached_tail = inner.tail.load(Ordering::Acquire);
+        let ready = self.cached_tail - head >= min || inner.closed.load(Ordering::Acquire);
+        if ready {
+            inner.consumer_waiter.withdraw();
+        }
+        ready
     }
 
     /// Whether the producer has been dropped or has called
@@ -974,7 +1089,7 @@ mod tests {
         let (tx, buf, failures) = pusher.join().unwrap();
         assert_eq!(tx.len(), 4, "the free capacity must have been published");
         assert_eq!(buf, vec![4, 5, 6, 7, 8, 9], "unpublished elements stay in the buffer");
-        assert!(failures > 0);
+        assert!(failures > 2, "with no waker, each park must end at its bound and retry");
         drop((tx, rx));
     }
 
@@ -1124,6 +1239,150 @@ mod tests {
             assert_eq!(tx.pushed(), round * 4, "indices must not reset across reopen");
             assert_eq!(rx.popped(), round * 4);
         }
+    }
+
+    /// A park bound no test waits out: a wait that ends within a second of
+    /// its wake-up ended on the event, not on the timeout.
+    const LONG_PARK: Duration = Duration::from_secs(10);
+
+    fn long_park(spins: u32) -> BackoffPolicy {
+        BackoffPolicy::SpinThenSleep { spins, sleep: LONG_PARK }
+    }
+
+    /// Blocks until some thread has announced itself on `waiter`.
+    fn until_announced(waiter: &Waiter) {
+        let deadline = std::time::Instant::now() + LONG_PARK;
+        while !waiter.parked.load(Ordering::SeqCst) {
+            assert!(std::time::Instant::now() < deadline, "nobody announced a wait");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// The consumer's wait loop: announce, and park only while the queue
+    /// still holds fewer than `min` elements and is open. Returns the number
+    /// of parks.
+    fn park_until_ready<T: Send>(rx: &mut Consumer<T>, min: usize) -> usize {
+        let mut parks = 0;
+        while !rx.announce_wait(min) {
+            std::thread::park_timeout(LONG_PARK);
+            parks += 1;
+        }
+        parks
+    }
+
+    #[test]
+    fn a_producer_parked_on_a_full_queue_resumes_on_pop_batch() {
+        let (mut tx, mut rx) = SpscQueue::with_capacity(4).split();
+        let inner = Arc::clone(&rx.inner);
+        tx.push_batch_drain(&mut (0..4u32).collect());
+        let pusher = std::thread::spawn(move || {
+            let mut buf: Vec<u32> = (4..8).collect();
+            let failures = tx.push_batch_with_backoff(&mut buf, &long_park(0));
+            (failures, buf)
+        });
+        until_announced(&inner.producer_waiter);
+        let popped = std::time::Instant::now();
+        let mut got = Vec::new();
+        assert_eq!(rx.pop_batch(4, |v| got.push(v)), 4);
+        let (failures, buf) = pusher.join().unwrap();
+        assert!(popped.elapsed() < Duration::from_secs(1), "the pop must unpark the producer");
+        assert!(failures > 0 && buf.is_empty());
+        rx.pop_batch(4, |v| got.push(v));
+        assert_eq!(got, (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_parked_consumer_resumes_once_a_publish_reaches_its_minimum() {
+        let (mut tx, mut rx) = SpscQueue::with_capacity(8).split();
+        let inner = Arc::clone(&rx.inner);
+        let reader = std::thread::spawn(move || {
+            let parks = park_until_ready(&mut rx, 4);
+            let mut got = Vec::new();
+            rx.pop_batch(8, |v| got.push(v));
+            (parks, got)
+        });
+        until_announced(&inner.consumer_waiter);
+        // Below the announced minimum: the publish must not end the park.
+        tx.push_batch_drain(&mut vec![0u32, 1]);
+        std::thread::sleep(Duration::from_millis(20));
+        let published = std::time::Instant::now();
+        tx.push_batch_drain(&mut vec![2, 3]);
+        let (parks, got) = reader.join().unwrap();
+        assert!(published.elapsed() < Duration::from_secs(1), "the publish must unpark");
+        assert_eq!(parks, 1, "only the publish that reached the minimum may wake the consumer");
+        assert_eq!(got, [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn finish_wakes_a_parked_consumer() {
+        let (mut tx, mut rx) = SpscQueue::<u32>::with_capacity(8).split();
+        let inner = Arc::clone(&rx.inner);
+        let reader = std::thread::spawn(move || {
+            park_until_ready(&mut rx, 4);
+            rx.is_closed()
+        });
+        until_announced(&inner.consumer_waiter);
+        let finished = std::time::Instant::now();
+        tx.finish();
+        assert!(reader.join().unwrap(), "the consumer wakes to a closed queue");
+        assert!(finished.elapsed() < Duration::from_secs(1), "finish must unpark");
+    }
+
+    #[test]
+    fn a_wait_with_no_waker_ends_at_its_bound() {
+        let (_tx, mut rx) = SpscQueue::<u32>::with_capacity(4).split();
+        assert!(!rx.announce_wait(1), "an empty open queue has nothing to read");
+        let parked = std::time::Instant::now();
+        std::thread::park_timeout(Duration::from_millis(20));
+        assert!(parked.elapsed() < Duration::from_secs(1), "the bound ends the park");
+        assert!(rx.announce_wait(0), "a zero minimum is met at once");
+        assert!(!rx.inner.consumer_waiter.parked.load(Ordering::SeqCst), "a met wait withdraws");
+    }
+
+    #[test]
+    fn two_thread_stress_with_both_ends_parking_loses_no_wakeup() {
+        // Every wait on either end parks at once with the long bound, so a
+        // single lost wake-up shows as a ten-second stall.
+        const N: u64 = 50_000;
+        const BATCH: usize = 16;
+        let (mut tx, mut rx) = SpscQueue::with_capacity(64).split();
+        let started = std::time::Instant::now();
+        let producer = std::thread::spawn(move || {
+            let mut buf = Vec::with_capacity(BATCH);
+            for i in 0..N {
+                buf.push(i);
+                if buf.len() == 13 {
+                    tx.push_batch_with_backoff(&mut buf, &long_park(0));
+                }
+            }
+            tx.push_batch_with_backoff(&mut buf, &long_park(0));
+            tx.finish();
+        });
+        let mut expected = 0u64;
+        loop {
+            let closed = rx.is_closed();
+            let check = |v: u64| {
+                assert_eq!(v, expected, "FIFO order violated");
+                expected += 1;
+            };
+            let got = if closed {
+                rx.pop_batch(BATCH, check)
+            } else if rx.pop_batch_exact(BATCH, check) {
+                BATCH
+            } else {
+                0
+            };
+            if got == 0 {
+                if closed {
+                    break;
+                }
+                park_until_ready(&mut rx, BATCH);
+                assert!(started.elapsed() < LONG_PARK, "a wake-up was lost");
+            }
+        }
+        producer.join().unwrap();
+        assert_eq!(expected, N);
+        assert!(started.elapsed() < LONG_PARK, "a wake-up was lost");
     }
 
     #[test]

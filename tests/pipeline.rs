@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use mr_apps::inputs::{km_input, wc_input, InputFlavor, InputSpec, Platform};
 use mr_apps::{AppKind, InvertedIndex, KmeansState, TopKDf, WordCount};
-use mr_core::{ContainerKind, RuntimeConfig, RuntimeError};
+use mr_core::{ContainerKind, Emitter, MapReduceJob, RuntimeConfig, RuntimeError};
 use ramr::{AdaptiveSeed, Backend, Engine, JobScheduler, Pipeline, StagePlan};
 use ramr_faultinject::{FaultKind, FaultPlan, FaultyJob};
 
@@ -198,22 +198,44 @@ fn a_poisoned_second_stage_fails_once_with_stage_attribution() {
     }
 }
 
+/// [`InvertedIndex`] whose task over document 0 first sleeps. The sleeping
+/// mapper's queue stays open, so the stage outlasts the sleep however fast
+/// the other threads map and hand off, and the freed CPU lets the adaptive
+/// controller complete its intervals.
+struct Dawdling;
+
+impl MapReduceJob for Dawdling {
+    type Input = <InvertedIndex as MapReduceJob>::Input;
+    type Key = <InvertedIndex as MapReduceJob>::Key;
+    type Value = <InvertedIndex as MapReduceJob>::Value;
+
+    fn map(&self, task: &[Self::Input], emit: &mut Emitter<'_, Self::Key, Self::Value>) {
+        if task.first().is_some_and(|(doc, _)| *doc == 0) {
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        InvertedIndex.map(task, emit);
+    }
+
+    fn combine(&self, acc: &mut Self::Value, incoming: Self::Value) {
+        InvertedIndex.combine(acc, incoming);
+    }
+}
+
 #[test]
 fn the_adaptive_seed_carries_across_stage_boundaries() {
     // On the adaptive backend, stage 2's tuner must start from stage 1's
     // final split instead of the configured default: its StageReport
     // records the applied seed, and that seed equals the one derived from
-    // stage 1's trace. Large stage-1 input and a fast controller interval
-    // guarantee the trace is non-empty.
+    // stage 1's trace. A stage 1 that lasts 250 controller intervals (see
+    // `Dawdling`) guarantees the trace is non-empty.
     let input = docs(60_000);
     let mut cfg = config();
     cfg.adaptive = true;
     cfg.telemetry = true;
     cfg.adapt_interval = Duration::from_micros(200);
     let engine = Backend::RamrAdaptive.engine(cfg.clone()).unwrap();
-    let outcome = engine
-        .pipeline(Pipeline::stage(InvertedIndex).then_pairs(TopKDf { k: 8 }), &input)
-        .unwrap();
+    let outcome =
+        engine.pipeline(Pipeline::stage(Dawdling).then_pairs(TopKDf { k: 8 }), &input).unwrap();
     let stages = &outcome.report.stages;
     assert_eq!(stages.len(), 2);
     assert!(stages[0].seeded.is_none(), "stage 1 has nothing to inherit");
